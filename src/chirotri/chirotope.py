@@ -41,6 +41,8 @@ class Chirotope:
         expected = n * (n - 1) * (n - 2) // 6
         if len(table) != expected:
             raise InvalidTriple(f"table has {len(table)} entries, expected {expected}")
+        if table.keys() != set(sorted_triples(n)):
+            raise InvalidTriple(f"table keys are not the sorted triples of 0..{n - 1}")
         for t, s in table.items():
             if s not in (1, -1):
                 raise InvalidTriple(f"sign of {t} must be +1 or -1, got {s}")

@@ -15,23 +15,14 @@ from pathlib import Path
 
 import mpmath as mp
 
-from .chirotope import chirotope_from_points, read_chi
 from .doublecircle import (QkTable, asymptotic_report, df_series, f_closed,
                            f_series, small_roots)
 from .errors import ChirotriError, OutOfRange
-from .expr import EvalMode, eval_expr, load_rooted, parse_expr
-from .geometry import PointSet
+from .expr import EvalMode, eval_expr, load_chirotope, load_rooted, parse_expr
 from .oracle import count_triangulations
 from .orderdb import read_order_types
 from .polynomials import q_from_p
 from .search import koch_variant_search
-
-
-def _load_chirotope(path: str):
-    text = Path(path).read_text()
-    if path.endswith(".pts"):
-        return chirotope_from_points(PointSet.from_text(text)), None
-    return read_chi(text)
 
 
 def _rooted_input(arg: str, cap: int):
@@ -41,7 +32,7 @@ def _rooted_input(arg: str, cap: int):
 
 
 def _cmd_axioms(args) -> int:
-    chi, _ = _load_chirotope(args.file)
+    chi, _ = load_chirotope(args.file)
     report = chi.check_axioms()
     if report.ok:
         print(f"ok: {chi.n} elements, axioms hold")

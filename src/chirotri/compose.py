@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .chirotope import Chirotope, RootedChirotope, chirotope_from_points
-from .errors import ConstructionFailed, OutOfRange, TooLarge, TooSmall
+from .errors import (ConstructionFailed, GeneralPositionViolation, OutOfRange,
+                     TooLarge, TooSmall)
 from .geometry import PointSet
 
 KOCH_MATERIALIZE_CAP = 5  # level cap: koch(i) has 2**i + 2 elements
@@ -249,7 +250,7 @@ def double_circle_points(k: int) -> PointSet:
         ps = build(eps, attempt // 10)
         try:
             chi = chirotope_from_points(ps)
-        except Exception:
+        except GeneralPositionViolation:
             eps /= 2
             continue
         if chi.extreme_elements() != frozenset(range(k)):

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import compose
-from .chirotope import RootedChirotope, chirotope_from_points, read_chi
-from .errors import ExprSyntaxError, NotARootedChirotope, OutOfRange, TooLarge
+from .chirotope import (Chirotope, RootedChirotope, chirotope_from_points,
+                        read_chi)
+from .errors import (ExprSyntaxError, MalformedFile, NotARootedChirotope,
+                     OutOfRange, TooLarge)
 from .geometry import PointSet
 from .oracle import DEFAULT_ORACLE_CAP, brute_P
 from .polynomials import BivarPoly, join_P, meet_P, swap_vars
@@ -283,14 +285,23 @@ class EvalMode(enum.Enum):
     POLYNOMIAL = "polynomial"
 
 
+def load_chirotope(path: str) -> tuple[Chirotope, int | None]:
+    """Load a ``.chi`` or ``.pts`` file; returns (chirotope, root or None).
+
+    A ``.pts`` file names no root; a ``.chi`` file may.
+    """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedFile(f"cannot read {path}: {exc}") from exc
+    if str(path).endswith(".pts"):
+        return chirotope_from_points(PointSet.from_text(text)), None
+    return read_chi(text)
+
+
 def load_rooted(path: str, root: int | None = None) -> RootedChirotope:
     """Load a rooted chirotope from a ``.chi`` or ``.pts`` file."""
-    text = Path(path).read_text()
-    if str(path).endswith(".pts"):
-        chi = chirotope_from_points(PointSet.from_text(text))
-        file_root = None
-    else:
-        chi, file_root = read_chi(text)
+    chi, file_root = load_chirotope(path)
     root = file_root if root is None else root
     if root is None:
         raise NotARootedChirotope(f"{path}: no root given and none in the file")

@@ -71,8 +71,11 @@ def iter_order_types(data: bytes, n: int, width: int | None = None,
 def read_order_types(path, n: int, width: int | None = None,
                      lenient: bool = False):
     """Read a database file; returns (records, skipped indices)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise MalformedFile(f"cannot read {path}: {exc}") from exc
     skipped: list[int] = []
     records = list(iter_order_types(data, n, width, lenient, skipped))
     return records, skipped

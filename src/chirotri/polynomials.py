@@ -7,13 +7,21 @@ triangulation polynomials of two rooted chirotopes: terms of root degrees
 the phantom-degree product is divided by the phantom variable exactly once
 because the shared segment from the phantom to the merged hull point is
 counted on both sides.
+
+All merges run through one lattice-path recurrence (``_merge_core``) that
+costs O(D1*D2) operations for operand root degrees up to D1 and D2. A merge
+of two operands that factor as (polynomial in u) * (polynomial in v) returns
+a BivarPoly that keeps those two factors and expands its coefficients only
+when something reads them.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from math import comb
+from itertools import accumulate
+from math import comb, gcd
+from operator import add
 
 from .errors import EmptyInput, InternalInvariantViolation, OutOfRange
 
@@ -126,16 +134,53 @@ class UnivarPoly:
 
 
 class BivarPoly:
-    """Bivariate polynomial in (u, v), integer coefficients, exponents >= 0."""
+    """Bivariate polynomial in (u, v), integer coefficients, exponents >= 0.
 
-    __slots__ = ("_c",)
+    A polynomial built by ``_from_factors`` holds only its factors
+    (U(u), V(v)) until its coefficient dict ``_c`` is first read;
+    ``try_split``, ``q_from_p``, ``swap_vars``, ``is_zero``, ``min_u_exp``
+    and ``min_v_exp`` work on the factors alone.
+    """
+
+    __slots__ = ("_coeffs", "_factors")
 
     def __init__(self, coeffs: dict | None = None):
         coeffs = coeffs or {}
         for (a, b) in coeffs:
             if a < 0 or b < 0:
                 raise OutOfRange(f"bad exponent pair ({a}, {b})")
-        self._c = _clean(coeffs)
+        self._coeffs = _clean(coeffs)
+        self._factors = None
+
+    @classmethod
+    def _from_factors(cls, u_part: UnivarPoly, v_part: UnivarPoly) -> "BivarPoly":
+        """u_part(u) * v_part(v), kept factored.
+
+        The factors are rescaled to exactly what ``try_split`` returns for
+        the expanded polynomial: V divided by the gcd of its coefficients,
+        with the sign of U's lowest term moved onto U.
+        """
+        if u_part.is_zero() or v_part.is_zero():
+            return cls()
+        g = 0
+        for c in v_part._c.values():
+            g = gcd(g, c)
+        if u_part.coeff(u_part.min_exp) < 0:
+            g = -g
+        p = cls.__new__(cls)
+        p._coeffs = None
+        p._factors = (u_part * g,
+                      UnivarPoly({b: c // g for b, c in v_part._c.items()}))
+        return p
+
+    @property
+    def _c(self) -> dict:
+        """The coefficient dict {(u-exp, v-exp): coefficient}."""
+        if self._coeffs is None:
+            u_part, v_part = self._factors
+            self._coeffs = {(a, b): cu * cv for a, cu in u_part.terms()
+                            for b, cv in v_part.terms()}
+        return self._coeffs
 
     @classmethod
     def zero(cls):
@@ -153,7 +198,7 @@ class BivarPoly:
         return sorted(self._c.items())
 
     def is_zero(self) -> bool:
-        return not self._c
+        return self._factors is None and not self._coeffs
 
     def u_slices(self) -> dict[int, dict[int, int]]:
         """u-exponent -> {v-exponent: coefficient}."""
@@ -162,7 +207,16 @@ class BivarPoly:
             out.setdefault(a, {})[b] = c
         return out
 
+    def min_u_exp(self) -> int:
+        if self._factors is not None:
+            return self._factors[0].min_exp
+        if not self._c:
+            raise EmptyInput("zero polynomial has no exponents")
+        return min(a for a, _ in self._c)
+
     def min_v_exp(self) -> int:
+        if self._factors is not None:
+            return self._factors[1].min_exp
         if not self._c:
             raise EmptyInput("zero polynomial has no exponents")
         return min(b for _, b in self._c)
@@ -220,8 +274,11 @@ class BivarPoly:
 # -- the counting calculus ---------------------------------------------------
 
 
+# perfbench/tests inspects this cache (cache_clear, cache_info); no merge
+# calls the function, so outside the tests the cache stays empty
 @lru_cache(maxsize=None)
 def _n_poly_terms(d1: int, d2: int) -> tuple:
+    """Terms of N(d1, d2) written out one by one; the merges use _merge_core."""
     if d1 < 2 or d2 < 2:
         raise OutOfRange(f"degrees must be >= 2, got ({d1}, {d2})")
     acc = {d1 + d2 - 1: 1}
@@ -242,18 +299,70 @@ def n_poly(d1: int, d2: int) -> UnivarPoly:
     return UnivarPoly(dict(_n_poly_terms(d1, d2)))
 
 
+def _merge_core(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Coefficients of sum over (d1, d2) of a[d1] * b[d2] * N(d1, d2).
+
+    ``a`` and ``b`` map root degrees >= 2 to int entries. Put j = d - i - 1;
+    the binomial C(j1 + j2, j1) in N counts monotone lattice paths, so
+
+        G(i1, i2) = sum_{d1>i1, d2>i2} a[d1] b[d2] C(d1-i1-1 + d2-i2-1, d1-i1-1)
+
+    satisfies G(i1, i2) = a[i1+1] b[i2+1] + G(i1+1, i2) + G(i1, i2+1). The
+    coefficient of u^e is the sum of G(i1, i2) over i1 + i2 = e plus the
+    products a[d1] b[d2] with d1 + d2 - 1 = e. Rows of G are built from
+    i1 = max(a) - 1 down to 1, so the whole merge costs O(D1*D2) products
+    and additions. N(d1, d2) = N(d2, d1), so the operand of lower degree
+    indexes the rows and each row is one long vectorized step.
+    """
+    if max(a) > max(b):
+        a, b = b, a
+    top1, top2 = max(a), max(b)
+    width = top2 - 1
+    b_row = [b.get(d, 0) for d in range(2, top2 + 1)]  # b[i2 + 1], i2 = 1..
+    out = [0] * (top1 + top2)
+    g = [0] * width  # G(i1 + 1, i2), i2 = 1..top2-1
+    for i1 in range(top1 - 1, 0, -1):
+        c1 = a.get(i1 + 1, 0)
+        prods = [c1 * c2 for c2 in b_row]
+        # a[i1+1] b[i2+1] lands at u^(i1+i2+1); G(i1, i2) at u^(i1+i2)
+        out[i1 + 2:i1 + 2 + width] = map(add, out[i1 + 2:i1 + 2 + width], prods)
+        g = list(accumulate(map(add, reversed(prods), reversed(g))))[::-1]
+        out[i1 + 1:i1 + 1 + width] = map(add, out[i1 + 1:i1 + 1 + width], g)
+    return {e: c for e, c in enumerate(out) if c}
+
+
 def join_Q(q1: UnivarPoly, q2: UnivarPoly) -> UnivarPoly:
     """Triangulation polynomial of a join from the operand polynomials."""
     for q in (q1, q2):
         if q.is_zero() or q.min_exp < 2:
             raise OutOfRange("operand polynomials need minimum exponent >= 2")
-    acc: dict[int, int] = {}
-    for d1, c1 in q1.terms():
-        for d2, c2 in q2.terms():
-            w = c1 * c2
-            for e, cn in _n_poly_terms(d1, d2):
-                acc[e] = acc.get(e, 0) + w * cn
-    return UnivarPoly(acc)
+    return UnivarPoly(_merge_core(q1._c, q2._c))
+
+
+def _pack_rows(p: BivarPoly, low: int, k: int) -> dict[int, int]:
+    """u-exponent -> its v-polynomial over v^low, evaluated at v = 2^k."""
+    rows: dict[int, int] = {}
+    for (a, b), c in p._c.items():
+        rows[a] = rows.get(a, 0) + (c << (k * (b - low)))
+    return rows
+
+
+def _unpack(x: int, k: int, slots: int) -> dict[int, int]:
+    """Coefficients c_j, |c_j| < 2^(k-1), of x = sum_{j < slots} c_j 2^(k*j).
+
+    Adding 2^(k-1) to every slot makes each one a nonnegative k-bit digit
+    that can be read off the bytes of the sum; k is a multiple of 8.
+    """
+    width = k // 8
+    half = 1 << (k - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    raw = (x + bias).to_bytes(width * slots, "little")
+    out = {}
+    for j in range(slots):
+        c = int.from_bytes(raw[j * width:(j + 1) * width], "little") - half
+        if c:
+            out[j] = c
+    return out
 
 
 def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
@@ -264,38 +373,35 @@ def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
     point occurs in both operands.
 
     When both operands factor into a u-part times a v-part (chains do), the
-    result factors the same way and is assembled from two univariate
-    products; otherwise the full double sum over root-degree pairs runs.
+    result factors the same way: its u-part is the join of the u-parts, and
+    it is returned in factored form. Otherwise the merge runs on the
+    v-polynomials of each root degree, packed into integers at v = 2^k with
+    k large enough that no coefficient of the result overflows a slot.
     """
-    s1 = p1.u_slices()
-    s2 = p2.u_slices()
-    if not s1 or not s2:
+    if p1.is_zero() or p2.is_zero():
         raise EmptyInput("zero operand polynomial")
-    if min(s1) < 2 or min(s2) < 2:
+    if p1.min_u_exp() < 2 or p2.min_u_exp() < 2:
         raise OutOfRange("operand polynomials need minimum u-exponent >= 2")
     split1 = try_split(p1)
     split2 = try_split(p2)
     if split1 is not None and split2 is not None:
         up1, vp1 = split1
         up2, vp2 = split2
-        u_part = join_Q(up1, up2)
-        v_part = (vp1 * vp2).shift(-1)
-        return BivarPoly({(a, b): cu * cv
-                          for a, cu in u_part.terms()
-                          for b, cv in v_part.terms()})
-    acc: dict[tuple[int, int], int] = {}
-    for d1, va in s1.items():
-        for d2, vb in s2.items():
-            prod: dict[int, int] = {}
-            for b1, c1 in va.items():
-                for b2, c2 in vb.items():
-                    k = b1 + b2
-                    prod[k] = prod.get(k, 0) + c1 * c2
-            for e, cn in _n_poly_terms(d1, d2):
-                for b, c in prod.items():
-                    key = (e, b)
-                    acc[key] = acc.get(key, 0) + cn * c
-    acc = _clean(acc)
+        return BivarPoly._from_factors(join_Q(up1, up2),
+                                       (vp1 * vp2).shift(-1))
+    low1, low2 = p1.min_v_exp(), p2.min_v_exp()
+    slots = (max(b for _, b in p1._c) - low1
+             + max(b for _, b in p2._c) - low2 + 1)
+    # every result coefficient is at most C(D1+D2-2, D1-1) * S1 * S2 in
+    # absolute value, with S the sum of absolute operand coefficients
+    top1 = max(a for a, _ in p1._c)
+    top2 = max(a for a, _ in p2._c)
+    bound = (comb(top1 + top2 - 2, top1 - 1)
+             * sum(map(abs, p1._c.values())) * sum(map(abs, p2._c.values())))
+    k = -(-(bound.bit_length() + 1) // 8) * 8
+    merged = _merge_core(_pack_rows(p1, low1, k), _pack_rows(p2, low2, k))
+    acc = {(e, low1 + low2 + j): c for e, x in merged.items()
+           for j, c in _unpack(x, k, slots).items()}
     if any(b < 1 for _, b in acc):
         raise InternalInvariantViolation(
             "phantom-degree product has an exponent-0 term; operands are not "
@@ -305,6 +411,9 @@ def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
 
 def swap_vars(p: BivarPoly) -> BivarPoly:
     """Transpose the roles of the two variables."""
+    if p._factors is not None:
+        u_part, v_part = p._factors
+        return BivarPoly._from_factors(v_part, u_part)
     return BivarPoly({(b, a): c for (a, b), c in p._c.items()})
 
 
@@ -321,6 +430,9 @@ def q_from_p(p: BivarPoly) -> UnivarPoly:
     """
     if p.is_zero():
         raise EmptyInput("zero polynomial")
+    if p._factors is not None:
+        u_part, v_part = p._factors
+        return u_part * v_part.coeff(v_part.min_exp)
     m = p.min_v_exp()
     return UnivarPoly({a: c for (a, b), c in p._c.items() if b == m})
 
@@ -359,11 +471,12 @@ def try_split(p: BivarPoly):
     """
     if p.is_zero():
         return None
+    if p._factors is not None:
+        return p._factors
     slices = p.u_slices()
     a0 = min(slices)
     row0 = slices[a0]
     b0 = min(row0)
-    from math import gcd
     g = 0
     for c in row0.values():
         g = gcd(g, c)

@@ -69,6 +69,18 @@ def test_sign_rejects_bad_triples():
         chi.sign(0, 1, 4)
 
 
+def test_table_keys_must_be_the_sorted_triples():
+    table = {t: 1 for t in sorted_triples(4)}
+    Chirotope(4, table)
+    # right size, wrong keys: an unsorted triple, then an out-of-range label
+    for bad, good in (((1, 0, 2), (0, 1, 2)), ((0, 1, 4), (1, 2, 3))):
+        wrong = dict(table)
+        del wrong[good]
+        wrong[bad] = 1
+        with pytest.raises(InvalidTriple):
+            Chirotope(4, wrong)
+
+
 def test_axioms_hold_for_random_realizable():
     rng = random.Random(11)
     for n in range(4, 10):

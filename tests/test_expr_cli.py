@@ -297,6 +297,26 @@ def test_cli_output_determinism(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("make_argv", [
+    lambda d: ["count", "--method", "poly",
+               f'join(load("{d / "missing.pts"}", 0), koch(2))'],
+    lambda d: ["axioms", str(d / "missing.chi")],
+    lambda d: ["search", "--db", str(d / "missing.bin"), "--n", "4"],
+    lambda d: ["count", "--method", "poly",
+               f'join(load("{d / "latin1.pts"}", 0), koch(2))'],
+    lambda d: ["axioms", str(d / "latin1.chi")],
+], ids=["load-missing", "axioms-missing", "search-missing",
+        "load-undecodable", "axioms-undecodable"])
+def test_cli_unreadable_file_is_a_domain_error(tmp_path, capsys, make_argv):
+    for name in ("latin1.pts", "latin1.chi"):
+        (tmp_path / name).write_bytes(b"0 0\n\xff\xfe 1\n")
+    assert run_cli(make_argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read ")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_count_file_input(tmp_path, capsys):
     path = tmp_path / "c6.chi"
     path.write_text(write_chi(convex(6).chi, 0))

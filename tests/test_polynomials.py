@@ -4,6 +4,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chirotri import (BivarPoly, EmptyInput, InternalInvariantViolation,
                       OutOfRange, UnivarPoly, brute_P, brute_Q, chi1,
@@ -194,6 +196,79 @@ def test_join_P_split_fast_path_matches_double_sum():
         p1, p2 = rank1(), rank1()
         assert try_split(p1) is not None
         assert join_P(p1, p2) == general_join_P_reference(p1, p2)
+
+
+# operands with both minimum exponents >= 2, so that join and meet both
+# apply; coefficients of either sign exercise every slot of the packed merge
+_coeff = st.one_of(st.integers(-6, 12),
+                   st.integers(-10 ** 40, 10 ** 40)).filter(bool)
+_univar = st.dictionaries(st.integers(2, 10), _coeff, min_size=1, max_size=5)
+_general = st.dictionaries(st.tuples(st.integers(2, 9), st.integers(2, 7)),
+                           _coeff, min_size=1, max_size=14).map(B)
+_rank1 = st.tuples(_univar, _univar).map(
+    lambda uv: B({(a, b): cu * cv for a, cu in uv[0].items()
+                  for b, cv in uv[1].items()}))
+_bivar = st.one_of(_general, _rank1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_univar, _univar)
+def test_join_Q_matches_n_poly_double_sum(q1, q2):
+    expected = U({})
+    for d1, c1 in q1.items():
+        for d2, c2 in q2.items():
+            expected = expected + n_poly(d1, d2) * (c1 * c2)
+    assert join_Q(U(q1), U(q2)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bivar, _bivar)
+def test_join_and_meet_P_match_double_sum(p1, p2):
+    assert join_P(p1, p2) == general_join_P_reference(p1, p2)
+    expected_meet = swap_vars(general_join_P_reference(swap_vars(p1),
+                                                       swap_vars(p2)))
+    assert meet_P(p1, p2) == expected_meet
+
+
+def _factor_view(p):
+    """What a factored polynomial answers from its factors alone."""
+    return {
+        "is_zero": p.is_zero(),
+        "min_u_exp": p.min_u_exp(),
+        "min_v_exp": p.min_v_exp(),
+        "try_split": try_split(p),
+        "q_from_p": q_from_p(p),
+        "swap_split": try_split(swap_vars(p)),
+        "swap_q": q_from_p(swap_vars(p)),
+    }
+
+
+def _coefficient_view(p):
+    return {
+        "terms": p.terms(),
+        "to_json": p.to_json(),
+        "hash": hash(p),
+        "u_slices": p.u_slices(),
+        "swap_terms": swap_vars(p).terms(),
+        "repr": repr(p),
+        "at": p(2, 3),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank1, _rank1)
+def test_factored_result_agrees_with_its_expansion(p1, p2):
+    factored = join_P(p1, p2)
+    if factored.is_zero():
+        return
+    lazy = _factor_view(factored)
+    assert factored._coeffs is None  # nothing above expanded it
+    expanded = B(dict(factored._c))
+    assert expanded._factors is None
+    assert _factor_view(expanded) == lazy
+    assert _coefficient_view(expanded) == _coefficient_view(factored)
+    assert factored == expanded and expanded == factored
+    assert swap_vars(factored) == swap_vars(expanded)
 
 
 def test_koch_pipeline_marginal_equals_full():
