@@ -22,7 +22,8 @@ from .errors import (ChirotriError, ConstructionFailed, EmptyInput,
                      ExprSyntaxError, GeneralPositionViolation,
                      InternalInvariantViolation, InvalidTriple, MalformedFile,
                      NotARootedChirotope, NumericalInstability, OracleTooLarge,
-                     OutOfRange, SharedEndpoint, TooLarge, TooSmall)
+                     OutOfRange, SharedEndpoint, TooLarge, TooSmall,
+                     WriteFailed)
 from .expr import EvalMode, eval_expr, load_rooted, parse_expr, print_expr
 from .geometry import PointSet, convex_hull_labels, orient
 from .oracle import (DEFAULT_ORACLE_CAP, WeakGround, brute_P, brute_Q,

@@ -30,6 +30,19 @@ def sorted_triples(n: int):
     return combinations(range(n), 3)
 
 
+def table_sign(table, x, y, z):
+    """Sign of the ordered triple (x, y, z) in a table keyed by sorted triples."""
+    # manual 3-element sort, tracking the permutation parity
+    s = 1
+    if x > y:
+        x, y, s = y, x, -s
+    if y > z:
+        y, z, s = z, y, -s
+        if x > y:
+            x, y, s = y, x, -s
+    return s * table[(x, y, z)]
+
+
 class Chirotope:
     """Immutable sign table over all sorted triples of 0..n-1."""
 
@@ -62,15 +75,7 @@ class Chirotope:
         return self._sign(x, y, z)
 
     def _sign(self, x, y, z):
-        # manual 3-element sort, tracking the permutation parity
-        s = 1
-        if x > y:
-            x, y, s = y, x, -s
-        if y > z:
-            y, z, s = z, y, -s
-            if x > y:
-                x, y, s = y, x, -s
-        return s * self._table[(x, y, z)]
+        return table_sign(self._table, x, y, z)
 
     def items(self):
         """(sorted triple, sign) pairs in lexicographic order."""

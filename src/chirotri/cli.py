@@ -17,7 +17,7 @@ import mpmath as mp
 
 from .doublecircle import (QkTable, asymptotic_report, df_series, f_closed,
                            f_series, small_roots)
-from .errors import ChirotriError, OutOfRange
+from .errors import ChirotriError, OutOfRange, WriteFailed
 from .expr import EvalMode, eval_expr, load_chirotope, load_rooted, parse_expr
 from .oracle import count_triangulations
 from .orderdb import read_order_types
@@ -67,7 +67,10 @@ def _cmd_poly(args) -> int:
                   oracle_cap=args.oracle_cap)
     out = q_from_p(p).to_json() if args.which == "Q" else p.to_json()
     if args.out:
-        Path(args.out).write_text(out + "\n")
+        try:
+            Path(args.out).write_text(out + "\n")
+        except OSError as exc:
+            raise WriteFailed(f"cannot write {args.out}: {exc}") from exc
     else:
         print(out)
     return 0

@@ -49,6 +49,10 @@ class MalformedFile(ChirotriError):
     """A file does not conform to its documented format."""
 
 
+class WriteFailed(ChirotriError):
+    """An output file could not be written."""
+
+
 class ConstructionFailed(ChirotriError):
     """A geometric construction could not be validated at any tolerance."""
 

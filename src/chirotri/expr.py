@@ -21,7 +21,7 @@ expand into shared subtrees of triangle leaves, so any level is reachable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import compose
@@ -37,30 +37,51 @@ from .polynomials import BivarPoly, join_P, meet_P, swap_vars
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _hash_once(self):
+    key = tuple(getattr(self, f.name) for f in fields(self))
+    object.__setattr__(self, "_hash", hash((type(self).__name__, key)))
+
+
+def _cached_hash(self):
+    return self._hash
+
+
+def _node(cls):
+    """Frozen dataclass that hashes its subtree once, when it is built.
+
+    The evaluation memo hashes every node it visits; a generated dataclass
+    hash would recurse through the whole subtree each time, which is O(k^2)
+    over a left-nested chain of k joins. Equality is the dataclass's own.
+    """
+    cls.__post_init__ = _hash_once
+    cls.__hash__ = _cached_hash
+    return dataclass(frozen=True)(cls)
+
+
+@_node
 class Atom:
     name: str
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Join:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Meet:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Twist:
     inner: object
 
 
-@dataclass(frozen=True)
+@_node
 class Flip:
     inner: object
 

@@ -4,7 +4,10 @@ Triangulations are the inclusion-maximal families of pairwise non-crossing
 segments; they are enumerated by deterministic backtracking over segments in
 lexicographic order against a precomputed pairwise-crossing bitmatrix. A
 segment may only be skipped if some chosen segment crosses it, so every
-maximal family is produced exactly once.
+maximal family is produced exactly once. A branch is abandoned as soon as a
+skipped segment has no crosser left that could still be chosen; such a branch
+yields nothing, so the output sequence is that of the unpruned search, order
+included.
 
 This module is the ground truth that every recursive counting formula in the
 package is tested against; it is deliberately simple and size-capped.
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .chirotope import Chirotope, RootedChirotope
+from .chirotope import Chirotope, RootedChirotope, table_sign
 from .errors import OracleTooLarge
 from .polynomials import BivarPoly, UnivarPoly
 
@@ -31,145 +34,132 @@ class WeakGround:
     itself is excluded from every candidate family.
     """
 
-    __slots__ = ("rc", "v", "_table", "_n")
+    __slots__ = ("rc", "v", "table")
 
     def __init__(self, rc: RootedChirotope):
         self.rc = rc
-        self._n = rc.chi.n
-        self.v = self._n
-        table = dict(rc.chi._table)
-        r = rc.root
-        for x, y in combinations(range(self._n), 2):
-            if x != r and y != r:
-                table[(x, y, self.v)] = -rc.chi._sign(x, y, r)
-        self._table = table
-
-    def sign(self, x, y, z):
-        s = 1
-        if x > y:
-            x, y, s = y, x, -s
-        if y > z:
-            y, z, s = z, y, -s
-            if x > y:
-                x, y, s = y, x, -s
-        return s * self._table[(x, y, z)]
-
-    def segments(self):
-        r, v = self.rc.root, self.v
-        return [p for p in combinations(range(self._n + 1), 2) if p != (r, v)]
+        self.v = v = rc.chi.n
+        base = rc.chi._table
+        self.table = dict(base)
+        for x, y in combinations(range(v), 2):
+            if rc.root not in (x, y):
+                self.table[(x, y, v)] = -table_sign(base, x, y, rc.root)
 
 
-def _crossing_masks(signf, segs, u_elt=None, v_elt=None):
-    """masks[i] = bitmask of segments crossing segment i."""
+def _ground(obj, cap):
+    """(segments, crossing masks, incidence masks) for one oracle search.
+
+    A Chirotope is searched over its own labels, a RootedChirotope over its
+    WeakGround. masks[i] is the bitmask of the segments crossing segment i;
+    inc[x] is that of the segments with endpoint x.
+    """
+    limit = DEFAULT_ORACLE_CAP if cap is None else cap
+    if obj.n > limit:
+        raise OracleTooLarge(
+            f"{obj.n} elements exceeds the oracle cap {limit}; pass a larger "
+            f"cap to override")
+    if isinstance(obj, Chirotope):
+        n, table, r, v = obj.n, obj._table, -1, -1
+    else:
+        wg = WeakGround(obj)
+        n, table, r, v = wg.v + 1, wg.table, obj.root, wg.v
+    segs = [p for p in combinations(range(n), 2) if p != (r, v)]
     m = len(segs)
     masks = [0] * m
-    for i in range(m):
-        a, b = segs[i]
+    inc = [0] * n
+    for i, (a, b) in enumerate(segs):
+        inc[a] |= 1 << i
+        inc[b] |= 1 << i
         for j in range(i + 1, m):
             c, d = segs[j]
             if a == c or a == d or b == c or b == d:
                 continue
-            if u_elt is not None:
-                in1 = a == u_elt or b == u_elt
-                in2 = c == v_elt or d == v_elt
-                if (in1 and in2) or ((a == v_elt or b == v_elt)
-                                     and (c == u_elt or d == u_elt)):
-                    continue  # root-side and phantom-side segments never cross
-            if signf(a, b, c) != signf(a, b, d) and signf(c, d, a) != signf(c, d, b):
+            if r in (a, b, c, d) and v in (a, b, c, d):
+                continue  # root-side and phantom-side segments never cross
+            if (table_sign(table, a, b, c) != table_sign(table, a, b, d)
+                    and table_sign(table, c, d, a) != table_sign(table, c, d, b)):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
-    return masks
+    return segs, masks, inc
+
+
+def _covered(masks, pend, free):
+    """Whether every segment in pend has a crosser in free."""
+    while pend:
+        bit = pend & -pend
+        if not masks[bit.bit_length() - 1] & free:
+            return False
+        pend ^= bit
+    return True
 
 
 def _iter_maximal(masks):
     """Yield every maximal independent set of the crossing graph as a bitmask.
 
-    Depth-first over segment indices; the include branch is explored first so
-    the output order is deterministic. A skipped segment carries a pending
-    obligation that some later chosen segment must cross it.
+    Depth-first over segment indices, lowest first, with the include branch
+    explored first, so the output order is deterministic. ``free`` holds the
+    undecided segments that no chosen segment crosses. A segment may be
+    skipped only while a crosser of it is free; it then stays pending until a
+    chosen segment crosses it. A branch ends as soon as a pending segment has
+    no free crosser left, since nothing below it is maximal. Every live node
+    thus has a free crosser for each pending segment, and one with nothing
+    free is a maximal set. The pruning removes only branches without output:
+    the sequence equals that of the unpruned search, order included.
     """
-    m = len(masks)
-    all_bits = (1 << m) - 1
-    suffix = [(all_bits >> i) << i for i in range(m + 1)]
-    stack = [(0, 0, 0, 0)]  # (index, dominated, pending, chosen)
+    stack = [((1 << len(masks)) - 1, 0, 0)]  # (free, pending, chosen)
     while stack:
-        i, dom, pend, chosen = stack.pop()
-        while i < m and (dom >> i) & 1:
-            i += 1
-        if i == m:
-            if pend == 0:
-                yield chosen
-            continue
-        bit = 1 << i
-        if masks[i] & suffix[i + 1] & ~dom:
-            stack.append((i + 1, dom, pend | bit, chosen))
-        stack.append((i + 1, dom | masks[i], pend & ~masks[i], chosen | bit))
+        free, pend, chosen = stack.pop()
+        while free:
+            bit = free & -free
+            free ^= bit
+            cross = masks[bit.bit_length() - 1]
+            lost = cross & free
+            if lost:  # otherwise no crosser is free and the include is forced
+                if _covered(masks, pend & cross, free):
+                    stack.append((free, pend | bit, chosen))
+                free ^= lost
+            chosen |= bit
+            pend &= ~cross
+            if lost and not _covered(masks, pend, free):
+                break
+        else:
+            yield chosen
 
 
-def _check_cap(n, cap):
-    limit = DEFAULT_ORACLE_CAP if cap is None else cap
-    if n > limit:
-        raise OracleTooLarge(
-            f"{n} elements exceeds the oracle cap {limit}; pass a larger cap "
-            f"to override")
+def _families(obj, cap):
+    segs, masks, _ = _ground(obj, cap)
+    for mask in _iter_maximal(masks):
+        yield tuple(segs[i] for i in range(len(segs)) if (mask >> i) & 1)
 
 
 def enumerate_triangulations(chi: Chirotope, cap: int | None = None):
     """Stream every triangulation of the chirotope as a sorted segment tuple."""
-    _check_cap(chi.n, cap)
-    segs = list(combinations(range(chi.n), 2))
-    masks = _crossing_masks(chi._sign, segs)
-    for mask in _iter_maximal(masks):
-        yield tuple(segs[i] for i in range(len(segs)) if (mask >> i) & 1)
+    return _families(chi, cap)
 
 
 def enumerate_weak(rc: RootedChirotope, cap: int | None = None):
     """Stream every weak triangulation (over the phantom-extended ground set)."""
-    _check_cap(rc.chi.n, cap)
-    wg = WeakGround(rc)
-    segs = wg.segments()
-    masks = _crossing_masks(wg.sign, segs, u_elt=rc.root, v_elt=wg.v)
-    for mask in _iter_maximal(masks):
-        yield tuple(segs[i] for i in range(len(segs)) if (mask >> i) & 1)
+    return _families(rc, cap)
 
 
 def count_triangulations(chi: Chirotope, cap: int | None = None) -> int:
-    _check_cap(chi.n, cap)
-    segs = list(combinations(range(chi.n), 2))
-    masks = _crossing_masks(chi._sign, segs)
-    return sum(1 for _ in _iter_maximal(masks))
-
-
-def _incidence_masks(segs, n_labels):
-    inc = [0] * n_labels
-    for i, (a, b) in enumerate(segs):
-        inc[a] |= 1 << i
-        inc[b] |= 1 << i
-    return inc
+    return sum(1 for _ in _iter_maximal(_ground(chi, cap)[1]))
 
 
 def brute_Q(rc: RootedChirotope, cap: int | None = None) -> UnivarPoly:
     """Triangulation polynomial by root degree, from direct enumeration."""
-    _check_cap(rc.chi.n, cap)
-    segs = list(combinations(range(rc.chi.n), 2))
-    masks = _crossing_masks(rc.chi._sign, segs)
-    root_mask = _incidence_masks(segs, rc.chi.n)[rc.root]
+    _, masks, inc = _ground(rc.chi, cap)
     acc: dict[int, int] = {}
     for mask in _iter_maximal(masks):
-        d = (mask & root_mask).bit_count()
+        d = (mask & inc[rc.root]).bit_count()
         acc[d] = acc.get(d, 0) + 1
     return UnivarPoly(acc)
 
 
 def brute_P(rc: RootedChirotope, cap: int | None = None) -> BivarPoly:
     """Weak-triangulation polynomial by (root degree, phantom degree)."""
-    _check_cap(rc.chi.n, cap)
-    wg = WeakGround(rc)
-    segs = wg.segments()
-    masks = _crossing_masks(wg.sign, segs, u_elt=rc.root, v_elt=wg.v)
-    inc = _incidence_masks(segs, rc.chi.n + 1)
-    root_mask = inc[rc.root]
-    v_mask = inc[wg.v]
+    _, masks, inc = _ground(rc, cap)
+    root_mask, v_mask = inc[rc.root], inc[rc.chi.n]
     acc: dict[tuple[int, int], int] = {}
     for mask in _iter_maximal(masks):
         key = ((mask & root_mask).bit_count(), (mask & v_mask).bit_count())

@@ -32,3 +32,28 @@ def random_rooted(n, rng, span=60) -> RootedChirotope:
 def chi1_fixture_points() -> PointSet:
     """Triangle (0,0), (4,0), (2,3) with interior point (2,1)."""
     return PointSet([(0, 0), (4, 0), (2, 3), (2, 1)])
+
+
+def iter_maximal_unpruned(masks):
+    """Spec for ``oracle._iter_maximal``: the plain backtracking it refines.
+
+    Depth-first over segment indices with the include branch first; a skipped
+    segment stays pending, and a leaf is yielded only if no segment is still
+    pending there. The pruned core must yield the same sequence.
+    """
+    m = len(masks)
+    all_bits = (1 << m) - 1
+    suffix = [(all_bits >> i) << i for i in range(m + 1)]
+    stack = [(0, 0, 0, 0)]  # (index, dominated, pending, chosen)
+    while stack:
+        i, dom, pend, chosen = stack.pop()
+        while i < m and (dom >> i) & 1:
+            i += 1
+        if i == m:
+            if pend == 0:
+                yield chosen
+            continue
+        bit = 1 << i
+        if masks[i] & suffix[i + 1] & ~dom:
+            stack.append((i + 1, dom, pend | bit, chosen))
+        stack.append((i + 1, dom | masks[i], pend & ~masks[i], chosen | bit))

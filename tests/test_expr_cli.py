@@ -1,5 +1,6 @@
 """Expression language, order-type ingestion, search harness, CLI surface."""
 
+import hashlib
 import json
 import random
 import struct
@@ -322,3 +323,37 @@ def test_cli_count_file_input(tmp_path, capsys):
     path.write_text(write_chi(convex(6).chi, 0))
     assert run_cli(["count", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "14"
+
+
+def test_cli_poly_unwritable_out_is_a_domain_error(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "x.json"
+    assert run_cli(["poly", "triangle", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}")
+    assert "Traceback" not in captured.err
+
+
+def test_deep_chain_hashes_without_recursion():
+    node = Atom("triangle")
+    for _ in range(5000):
+        node = Join(node, Atom("triangle"))
+    assert {node: 1}[node] == 1
+    assert hash(Join(Atom("chi1"), Atom("chi1"))) == hash(parse_expr("chi1 v chi1"))
+
+
+@pytest.mark.parametrize("expr, count, p_digest, q_digest", [
+    ("chik(110)",
+     "69952563292416103082919701255499490854910230498089913883022973261478679"
+     "69008252957174821217667911827548801971467408",
+     "210a6a9804335b63", "9829288dfc8a09e0"),
+    ("join(koch(4), meet(koch(3), twist(koch(4))))",
+     "5004194335169437748192558227456", "87ffb56c32f48ac1", "667634b143c59bb6"),
+], ids=["chik110", "shared-koch-tree"])
+def test_poly_and_count_outputs_are_pinned(capsys, expr, count, p_digest, q_digest):
+    assert run_cli(["count", expr, "--method", "poly"]) == 0
+    assert capsys.readouterr().out.strip() == count
+    for which, digest in (("P", p_digest), ("Q", q_digest)):
+        assert run_cli(["poly", expr, "--which", which]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest()[:16] == digest

@@ -1,16 +1,22 @@
 """Brute-force enumeration: counts, weak triangulations, ground-truth polys."""
 
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chirotri import (BivarPoly, OracleTooLarge, RootedChirotope, UnivarPoly,
                       WeakGround, brute_P, brute_Q, chi1, chi_k,
                       chirotope_from_points, convex, convex_hull_labels,
                       enumerate_triangulations, enumerate_weak, q_from_p,
                       segments_cross)
+from chirotri.oracle import _iter_maximal
 
-from helpers import catalan, random_point_set, random_rooted
+from helpers import (catalan, iter_maximal_unpruned, random_point_set,
+                     random_rooted)
 
 
 def test_enumerate_counts():
@@ -28,7 +34,6 @@ def test_enumeration_is_deterministic_and_distinct():
 def test_triangulations_are_maximal_non_crossing():
     rng = random.Random(67)
     chi = chirotope_from_points(random_point_set(7, rng))
-    from itertools import combinations
     all_segs = list(combinations(range(7), 2))
     for tri in enumerate_triangulations(chi):
         for a, b in combinations(tri, 2):
@@ -131,3 +136,58 @@ def test_brute_P_exponent_floor():
     for _ in range(8):
         p = brute_P(random_rooted(rng.randrange(4, 8), rng))
         assert all(a >= 2 and b >= 2 for (a, b), _ in p.terms())
+
+
+@st.composite
+def _graphs(draw):
+    """Adjacency bitmasks of a random symmetric graph on at most 14 vertices."""
+    m = draw(st.integers(0, 14))
+    masks = [0] * m
+    for i, j in combinations(range(m), 2):
+        if draw(st.booleans()):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return masks
+
+
+def _maximal_independent_sets(masks):
+    """Every subset tried: independent, and no vertex outside can be added."""
+    m = len(masks)
+    out = set()
+    for s in range(1 << m):
+        members = [i for i in range(m) if (s >> i) & 1]
+        if any(masks[i] & s for i in members):
+            continue
+        if all(masks[i] & s for i in range(m) if not (s >> i) & 1):
+            out.add(s)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs())
+def test_iter_maximal_matches_subset_search_and_unpruned_order(masks):
+    got = list(_iter_maximal(masks))
+    assert got == list(iter_maximal_unpruned(masks))
+    assert len(set(got)) == len(got)
+    assert set(got) == _maximal_independent_sets(masks)
+
+
+def _digest(seq):
+    return len(seq), hashlib.sha256(repr(seq).encode()).hexdigest()[:16]
+
+
+def test_enumeration_sequences_are_pinned():
+    assert list(enumerate_triangulations(chi1().chi)) == [
+        ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    assert list(enumerate_weak(chi1())) == [
+        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)),
+        ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4))]
+    # (count, sha256 prefix of the sequence's repr) of triangulations, weak
+    pinned = [
+        (convex(6), (14, "17dae85538593d39"), (14, "a0f6eb32c5d6e5e9")),
+        (random_rooted(8, random.Random(2024)),
+         (72, "236a55f6ae1b1c42"), (181, "a4299f150b21be07")),
+    ]
+    for rc, tris, weaks in pinned:
+        assert _digest(list(enumerate_triangulations(rc.chi))) == tris
+        assert _digest(list(enumerate_weak(rc))) == weaks
