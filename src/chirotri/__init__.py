@@ -9,15 +9,14 @@ and a CLI workbench with a composition expression language.
 """
 
 from .chirotope import (AxiomReport, Chirotope, RootedChirotope,
-                        chirotope_from_points, flip, read_chi, segments_cross,
+                        chirotope_from_points, read_chi, segments_cross,
                         write_chi)
 from .compose import (LabelMap, chi1, chi_k, convex, double_circle,
                       double_circle_points, join, koch, meet, triangle, twist)
 from .doublecircle import (AsymptoticConstants, KernelPoint, QkTable,
                            asymptotic_report, constants, dc_count, df_series,
                            f_closed, f_series, functional_equation_residual,
-                           kernel, qk_sequence, qk_step, qk_step_closedform,
-                           qk_step_reference, small_roots)
+                           kernel, qk_step, qk_step_closedform, small_roots)
 from .errors import (ChirotriError, ConstructionFailed, EmptyInput,
                      ExprSyntaxError, GeneralPositionViolation,
                      InternalInvariantViolation, InvalidTriple, MalformedFile,

@@ -117,20 +117,19 @@ class Chirotope:
 
     def extreme_elements(self) -> frozenset:
         """Labels x admitting a witness y with sign(x, y, z) constant over z."""
-        out = []
-        for x in range(self.n):
-            if self._has_witness(x)[0]:
-                out.append(x)
-        return frozenset(out)
+        return frozenset(x for x in range(self.n) if any(self._witnesses(x)))
 
-    def _has_witness(self, x):
-        found = False
-        witnesses = {}
+    def _witnesses(self, x) -> tuple[list, list]:
+        """(ys with sign(x, y, z) = +1 for every z, ys with constant sign -1).
+
+        Each list holds at most one label, since sign(x, y1, y2) =
+        -sign(x, y2, y1); both are empty unless x is extreme.
+        """
+        plus, minus = [], []
         for y in range(self.n):
             if y == x:
                 continue
             sig = 0
-            ok = True
             for z in range(self.n):
                 if z == x or z == y:
                     continue
@@ -138,12 +137,10 @@ class Chirotope:
                 if sig == 0:
                     sig = s
                 elif s != sig:
-                    ok = False
                     break
-            if ok:
-                found = True
-                witnesses[sig] = y
-        return found, witnesses
+            else:
+                (plus if sig == 1 else minus).append(y)
+        return plus, minus
 
     # -- axiom scan ------------------------------------------------------
 
@@ -223,7 +220,7 @@ class RootedChirotope:
     def __post_init__(self):
         if not (0 <= self.root < self.chi.n):
             raise NotARootedChirotope(f"root {self.root} out of range")
-        if not self.chi._has_witness(self.root)[0]:
+        if not any(self.chi._witnesses(self.root)):
             raise NotARootedChirotope(f"root {self.root} is not extreme")
 
     @property
@@ -236,34 +233,10 @@ class RootedChirotope:
         The successor is the unique y with sign(root, y, z) = +1 for every z;
         the predecessor is the unique y with constant sign -1.
         """
-        plus = minus = None
-        for y in range(self.chi.n):
-            if y == self.root:
-                continue
-            sig = 0
-            ok = True
-            for z in range(self.chi.n):
-                if z == self.root or z == y:
-                    continue
-                s = self.chi._sign(self.root, y, z)
-                if sig == 0:
-                    sig = s
-                elif s != sig:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if sig == 1:
-                if plus is not None:
-                    raise NotARootedChirotope("multiple all-positive witnesses")
-                plus = y
-            elif sig == -1:
-                if minus is not None:
-                    raise NotARootedChirotope("multiple all-negative witnesses")
-                minus = y
-        if plus is None or minus is None:
+        plus, minus = self.chi._witnesses(self.root)
+        if not plus or not minus:
             raise NotARootedChirotope("missing hull neighbor witness")
-        return plus, minus
+        return plus[0], minus[0]
 
 
 def chirotope_from_points(ps: PointSet) -> Chirotope:
@@ -278,10 +251,6 @@ def chirotope_from_points(ps: PointSet) -> Chirotope:
         except GeneralPositionViolation as exc:
             raise GeneralPositionViolation(f"labels ({i}, {j}, {k}): {exc}") from exc
     return Chirotope(n, table)
-
-
-def flip(chi: Chirotope) -> Chirotope:
-    return chi.flipped()
 
 
 def segments_cross(chi: Chirotope, a, b) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -18,15 +19,20 @@ import mpmath as mp
 from .doublecircle import (QkTable, asymptotic_report, df_series, f_closed,
                            f_series, small_roots)
 from .errors import ChirotriError, OutOfRange, WriteFailed
-from .expr import EvalMode, eval_expr, load_chirotope, load_rooted, parse_expr
+from .expr import (Atom, EvalMode, eval_expr, load_chirotope, load_rooted,
+                   parse_expr)
 from .oracle import count_triangulations
 from .orderdb import read_order_types
 from .polynomials import q_from_p
 from .search import koch_variant_search
 
 
+def _is_file(arg: str) -> bool:
+    return arg.endswith((".chi", ".pts"))
+
+
 def _rooted_input(arg: str, cap: int):
-    if arg.endswith(".chi") or arg.endswith(".pts"):
+    if _is_file(arg):
         return load_rooted(arg)
     return eval_expr(parse_expr(arg), EvalMode.MATERIALIZE, oracle_cap=cap)
 
@@ -48,16 +54,23 @@ def _cmd_axioms(args) -> int:
 
 def _cmd_count(args) -> int:
     if args.method == "brute":
-        rc = _rooted_input(args.input, args.oracle_cap)
-        chi = rc.chi
-        if args.drop_root:
-            chi, _ = chi.restrict([x for x in range(chi.n) if x != rc.root])
+        if _is_file(args.input) and not args.drop_root:
+            chi, _ = load_chirotope(args.input)  # no root needed
+        else:
+            rc = _rooted_input(args.input, args.oracle_cap)
+            chi = rc.chi
+            if args.drop_root:
+                chi, _ = chi.restrict([x for x in range(chi.n) if x != rc.root])
         print(count_triangulations(chi, cap=args.oracle_cap))
         return 0
     if args.drop_root:
         raise OutOfRange("--drop-root needs --method brute")
-    p = eval_expr(parse_expr(args.input), EvalMode.POLYNOMIAL,
-                  oracle_cap=args.oracle_cap)
+    # a file goes through the expression language's own load() atom
+    if _is_file(args.input):
+        tree = Atom("load", (args.input,))
+    else:
+        tree = parse_expr(args.input)
+    p = eval_expr(tree, EvalMode.POLYNOMIAL, oracle_cap=args.oracle_cap)
     print(q_from_p(p)(1))
     return 0
 
@@ -99,7 +112,7 @@ def _cmd_kernel_report(args) -> int:
     dps = args.precision
     table = QkTable(args.terms)
     pt = small_roots(x, dps=dps)
-    fc, dfc = f_closed(x, dps=dps)
+    fc, dfc = f_closed(pt, dps=dps)
     fs = f_series(x, args.terms, table, dps=dps)
     dfs = df_series(x, args.terms, table, dps=dps)
     digits = min(dps, 30)
@@ -123,7 +136,7 @@ def _cmd_search(args) -> int:
     for idx in skipped:
         print(f"note: record {idx} skipped (collinear)", file=sys.stderr)
     rows, notes = koch_variant_search(records, args.levels, args.metric,
-                                      threads=args.threads, cap=args.oracle_cap)
+                                      cap=args.oracle_cap)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
     print("record,root,score")
@@ -137,7 +150,6 @@ def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="chirotri",
         description="exact chirotope composition and triangulation counting")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads")
     ap.add_argument("--precision", type=int, default=50,
                     help="significant digits for numeric analytics")
     ap.add_argument("--oracle-cap", type=int, default=12,
@@ -197,7 +209,21 @@ def run_cli(argv=None) -> int:
 
 
 def main(argv=None) -> int:
-    return run_cli(argv)
+    """Console entry point: run_cli, then flush stdout.
+
+    A reader that closes the pipe early (``chirotri poly ... | head``) ends
+    the run with exit code 1 and no traceback.
+    """
+    try:
+        code = run_cli(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ The join merges two rooted chirotopes at their roots and identifies the left
 root's hull predecessor with the right root's hull successor; the merged
 ground set keeps the left block first, then the right block, then the shared
 point x0, then the new root last. The meet is the same merge with the two
-mixed-block orientation cases negated; it also equals a twist/join/twist
-composition, and both constructions are compared triple-for-triple on every
-call.
+mixed-block orientation cases negated; it also equals the twist/join/twist
+composition twist(join(twist(b), twist(a))), which the tests compare against
+it triple for triple.
 """
 
 from __future__ import annotations
@@ -132,26 +132,9 @@ def twist(rc: RootedChirotope) -> RootedChirotope:
 def meet(rc1: RootedChirotope, rc2: RootedChirotope):
     """Meet of two rooted chirotopes. Returns (result, label map).
 
-    Built directly as the negated-mixed-case merge; cross-checked against the
-    twist composition twist(join(twist(.), twist(.))) on every call. The two
-    constructions must agree triple-for-triple (the twist route consumes the
-    operands in the opposite slot order, since twisting swaps each root's hull
-    successor and predecessor and the merged pair must stay the same).
+    Built directly as the merge with both mixed-block cases negated.
     """
-    direct, lmap = _merge(rc1, rc2, negate_mixed=True)
-    via_twists, jmap = _merge(twist(rc2), twist(rc1), negate_mixed=False)
-    via_twists = twist(via_twists)
-
-    perm = {}
-    for old, new in lmap.from_left.items():
-        perm[new] = jmap.from_right[old]
-    for old, new in lmap.from_right.items():
-        perm[new] = jmap.from_left[old]
-    for (a, b, c), s in direct.chi.items():
-        if via_twists.chi.sign(perm[a], perm[b], perm[c]) != s:
-            raise AssertionError(
-                f"meet constructions disagree on triple ({a}, {b}, {c})")
-    return direct, lmap
+    return _merge(rc1, rc2, negate_mixed=True)
 
 
 # -- generator families ------------------------------------------------------

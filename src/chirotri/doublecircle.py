@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import InternalInvariantViolation, NumericalInstability, OutOfRange
-from .polynomials import UnivarPoly, join_Q
+from .polynomials import UnivarPoly
 
 DEFAULT_DPS = 50
 
@@ -68,11 +68,6 @@ def qk_step(q: UnivarPoly) -> UnivarPoly:
         out[i + 1] = out.get(i + 1, 0) + m - i * s
         out[i + 2] = out.get(i + 2, 0) + s
     return UnivarPoly(out)
-
-
-def qk_step_reference(q: UnivarPoly) -> UnivarPoly:
-    """Same step through the generic merge recursion, for cross-checking."""
-    return join_Q(q, UnivarPoly.monomial(3))
 
 
 def _divide_by_u_minus_1(coeffs: list) -> tuple[list, int]:
@@ -139,10 +134,6 @@ class QkTable:
         return self.derivs[k - 1]
 
 
-def qk_sequence(kmax: int) -> QkTable:
-    return QkTable(kmax)
-
-
 def dc_count(k: int, table: QkTable | None = None) -> int:
     """Exact number of triangulations of the double circle with k outer points."""
     if k < 3:
@@ -195,28 +186,33 @@ def _bisect(f, lo, hi, steps):
 
 
 def small_roots(x, dps: int | None = None) -> KernelPoint:
-    """The kernel roots u2 in (0, 1) and u1 in (1, 2) above x, by bisection."""
+    """The kernel roots u2 in (0, 1) and u1 in (1, 2) above x, by bisection.
+
+    Bisection runs to the working precision, so the kernel residual at each
+    root is a few units of mp.eps whatever the precision.
+    """
     with mp.workdps(dps or DEFAULT_DPS):
         xm = _to_mpf(x)
         if not (0 < xm < mp.mpf(1) / 12):
             raise OutOfRange(f"x={x} outside (0, 1/12)")
         f = lambda u: kernel(xm, u)
-        steps = int(mp.mp.dps * 3.4) + 40
+        steps = mp.mp.prec + 2
         u2 = _bisect(f, mp.mpf(0), mp.mpf(1), steps)
         u1 = _bisect(f, mp.mpf(1), mp.mpf(2), steps)
-        if abs(f(u1)) > mp.mpf(10) ** -30 or abs(f(u2)) > mp.mpf(10) ** -30:
+        tol = 4 * mp.eps
+        if abs(f(u1)) > tol or abs(f(u2)) > tol:
             raise NumericalInstability("kernel root residual above tolerance")
         return KernelPoint(xm, u1, u2)
 
 
-def f_closed(x, dps: int | None = None):
-    """(F(x,1), dF/du(x,1)) from the closed forms in the two small roots."""
+def f_closed(pt: KernelPoint, dps: int | None = None):
+    """(F(x,1), dF/du(x,1)) from the closed forms in the two small roots.
+
+    The denominator u1 + u2 - u1 u2 = 1 + (u1 - 1)(1 - u2) is at least 1.
+    """
     with mp.workdps(dps or DEFAULT_DPS):
-        pt = small_roots(x, dps=dps)
         u1, u2 = pt.u1, pt.u2
         den = u1 + u2 - u1 * u2
-        if abs(den) < mp.mpf(10) ** -20:
-            raise NumericalInstability("closed-form denominator near zero")
         f = (u1 - 1) * (1 - u2) * (u1 + u2 - 1) / den
         df = (u1 * u2 * (u1 * u2 - u1 - u2 + 2)
               + u1 ** 2 + u2 ** 2 - 2 * u1 - 2 * u2 + 1) / den

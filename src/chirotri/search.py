@@ -4,12 +4,13 @@ Each candidate rooted chirotope becomes the level-3 stage of the alternating
 construction (join at odd levels, meet at even levels, both operands the
 previous level). Intermediate levels carry full weak-triangulation
 polynomials; the final level is scored through the marginal count only, so
-the last bivariate polynomial is never built.
+the last bivariate polynomial is never built. Candidates are scored one
+after another in one process: the merges are pure-Python big-integer work
+that threads cannot overlap, and one score takes milliseconds.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .chirotope import RootedChirotope, chirotope_from_points
@@ -50,27 +51,20 @@ def seed_score(rc: RootedChirotope, levels: int, metric: str = "weak",
 
 
 def rank_candidates(candidates, levels: int, metric: str = "weak",
-                    threads: int = 1, cap: int | None = None):
+                    cap: int | None = None):
     """Rank (key, root, rooted chirotope) candidates by descending score.
 
-    Ties break on (key, root). The executor preserves submission order, so
-    output is identical for any thread count.
+    Ties break on (key, root), so the ranking does not depend on the order
+    of the candidates.
     """
-    cands = list(candidates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(
-                lambda c: seed_score(c[2], levels, metric, cap), cands))
-    else:
-        scores = [seed_score(rc, levels, metric, cap) for _, _, rc in cands]
-    rows = [SearchRow(key, root, score)
-            for (key, root, _), score in zip(cands, scores)]
+    rows = [SearchRow(key, root, seed_score(rc, levels, metric, cap))
+            for key, root, rc in candidates]
     rows.sort(key=lambda r: (-r.score, r.record, r.root))
     return rows
 
 
 def koch_variant_search(records, levels: int, metric: str = "weak",
-                        threads: int = 1, roots=None, cap: int | None = None):
+                        roots=None, cap: int | None = None):
     """Run the pipeline over database records, one candidate per extreme root.
 
     If ``roots`` restricts the roots to try, non-extreme requests are skipped
@@ -87,4 +81,4 @@ def koch_variant_search(records, levels: int, metric: str = "weak",
                 notes.append(f"record {rec.index}: root {root} is not extreme; skipped")
                 continue
             candidates.append(((rec.index), root, RootedChirotope(chi, root)))
-    return rank_candidates(candidates, levels, metric, threads, cap), notes
+    return rank_candidates(candidates, levels, metric, cap), notes

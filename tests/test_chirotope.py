@@ -8,7 +8,7 @@ import pytest
 from chirotri import (Chirotope, GeneralPositionViolation, InvalidTriple,
                       NotARootedChirotope, PointSet, RootedChirotope,
                       SharedEndpoint, TooSmall, chirotope_from_points, convex,
-                      convex_hull_labels, count_triangulations, flip, orient,
+                      convex_hull_labels, count_triangulations, orient,
                       read_chi, segments_cross, write_chi)
 from chirotri.chirotope import sorted_triples
 
@@ -130,6 +130,17 @@ def test_hull_neighbors_examples():
     assert {up, um} == {0, 1}  # interior point 3 is never a neighbor
 
 
+def test_hull_neighbors_missing_witness():
+    # sign(0, y, z) = +1 reads "y beats z": 1 beats 2, 3 and 4, which beat
+    # each other in a cycle, so 0 has a successor but no predecessor; a
+    # non-realizable table that only a .chi file can carry
+    table = {t: 1 for t in sorted_triples(5)}
+    table[(0, 2, 4)] = -1
+    rc = RootedChirotope(Chirotope(5, table), 0)
+    with pytest.raises(NotARootedChirotope, match="missing hull neighbor"):
+        rc.hull_neighbors()
+
+
 def test_rooted_requires_extreme_root():
     chi = chirotope_from_points(chi1_fixture_points())
     with pytest.raises(NotARootedChirotope):
@@ -170,14 +181,14 @@ def test_restrict():
 def test_flip():
     rng = random.Random(23)
     chi = chirotope_from_points(random_point_set(6, rng))
-    assert flip(flip(chi)) == chi
-    assert flip(convex(3).chi).sign(0, 1, 2) == -1
+    assert chi.flipped().flipped() == chi
+    assert convex(3).chi.flipped().sign(0, 1, 2) == -1
     from chirotri import chi1, enumerate_triangulations
     c1 = chi1().chi
     # crossing is invariant under a global sign flip, so the triangulation
     # families coincide exactly
-    assert list(enumerate_triangulations(flip(c1))) == list(enumerate_triangulations(c1))
-    assert count_triangulations(flip(c1)) == count_triangulations(c1)
+    assert list(enumerate_triangulations(c1.flipped())) == list(enumerate_triangulations(c1))
+    assert count_triangulations(c1.flipped()) == count_triangulations(c1)
 
 
 def test_relabeling_invariance():

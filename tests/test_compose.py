@@ -112,13 +112,22 @@ def test_meet_of_triangles_is_one_interior_point():
 
 
 def test_meet_construction_paths_agree_random():
-    # meet() asserts the direct construction against the twist composition
-    # on every call; exercise it across random realizable operands
+    # the direct meet equals twist(join(twist(rc2), twist(rc1))) triple for
+    # triple; the twist route takes the operands in the opposite slots, since
+    # twisting swaps each root's hull successor and predecessor
     rng = random.Random(59)
     for _ in range(25):
         rc1 = random_rooted(rng.randrange(4, 8), rng)
         rc2 = random_rooted(rng.randrange(4, 8), rng)
-        m, _ = meet(rc1, rc2)
+        m, lmap = meet(rc1, rc2)
+        j, jmap = join(twist(rc2), twist(rc1))
+        via_twists = twist(j)
+        perm = {new: jmap.from_right[old] for old, new in lmap.from_left.items()}
+        perm.update({new: jmap.from_left[old]
+                     for old, new in lmap.from_right.items()})
+        assert perm[m.root] == via_twists.root
+        for (a, b, c), s in m.chi.items():
+            assert via_twists.chi.sign(perm[a], perm[b], perm[c]) == s, (a, b, c)
         assert m.chi.check_axioms().ok
 
 

@@ -8,9 +8,8 @@ import pytest
 from chirotri import (OutOfRange, QkTable, UnivarPoly, brute_Q, chi_k,
                       chirotope_from_points, constants, count_triangulations,
                       dc_count, double_circle_points, f_closed, f_series,
-                      df_series, functional_equation_residual, kernel,
-                      qk_step, qk_step_closedform, qk_step_reference,
-                      small_roots)
+                      df_series, functional_equation_residual, join_Q, kernel,
+                      qk_step, qk_step_closedform, small_roots)
 
 U = UnivarPoly
 
@@ -33,12 +32,13 @@ def test_qk_matches_brute_force():
 
 def test_qk_step_variants_agree():
     q = U({3: 1})
-    assert qk_step_closedform(q) == qk_step(q) == qk_step_reference(q)
+    u3 = U.monomial(3)
+    assert qk_step_closedform(q) == qk_step(q) == join_Q(q, u3)
     for k in range(1, 41):
         nxt = TABLE.q(k + 1)
         assert qk_step_closedform(TABLE.q(k)) == nxt
     for k in range(1, 12):
-        assert qk_step_reference(TABLE.q(k)) == TABLE.q(k + 1)
+        assert join_Q(TABLE.q(k), u3) == TABLE.q(k + 1)
 
 
 def test_qk_degree_law_and_positivity():
@@ -106,9 +106,28 @@ def test_small_roots_near_singularity():
     assert abs((2 - pt.u1) / gap - 1) < 1e-3
 
 
+@pytest.mark.parametrize("dps", [10, 15, 20, 30, 50, 100, 300])
+def test_small_roots_residual_follows_precision(dps):
+    # bisection runs to the working precision: the kernel vanishes at both
+    # roots to within one unit of mp.eps, at every precision
+    for x in (Fraction(1, 10 ** 8), Fraction(1, 20), Fraction(1, 13),
+              Fraction(1, 12) - Fraction(1, 10 ** 10)):
+        pt = small_roots(x, dps=dps)
+        with mp.workdps(dps):
+            assert abs(kernel(pt.x, pt.u1)) <= mp.eps
+            assert abs(kernel(pt.x, pt.u2)) <= mp.eps
+    # away from the singularity the roots are well conditioned: they agree
+    # with a computation at twice the precision to a few units of mp.eps
+    pt = small_roots(Fraction(1, 20), dps=dps)
+    ref = small_roots(Fraction(1, 20), dps=2 * dps)
+    with mp.workdps(dps):
+        assert abs(pt.u1 - ref.u1) <= 4 * mp.eps
+        assert abs(pt.u2 - ref.u2) <= 4 * mp.eps
+
+
 def test_f_closed_against_series():
     x = Fraction(1, 20)
-    f, df = f_closed(x)
+    f, df = f_closed(small_roots(x))
     assert abs(f - f_series(x, 80, TABLE)) < 1e-10
     assert abs(df - df_series(x, 80, TABLE)) < 1e-9
 
@@ -116,7 +135,7 @@ def test_f_closed_against_series():
 def test_f_limit_at_singularity():
     cs = constants()
     x = Fraction(1, 12) - Fraction(1, 10 ** 12)
-    f, _ = f_closed(x)
+    f, _ = f_closed(small_roots(x))
     assert abs(f - cs.c1) < 1e-5
 
 

@@ -1,9 +1,14 @@
 """Expression language, order-type ingestion, search harness, CLI surface."""
 
 import hashlib
+import itertools
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,13 +215,12 @@ def test_search_skips_non_extreme_roots():
     assert "not extreme" in notes[0]
 
 
-def test_rank_determinism_across_threads():
+def test_rank_determinism_across_input_order():
     cands = [("a", 0, convex(6)), ("b", 0, chi1()),
              ("c", 2, RootedChirotope(convex(3).chi, 2))]
-    base = rank_candidates(cands, levels=5, metric="weak", threads=1)
-    for threads in (2, 4):
-        assert rank_candidates(cands, levels=5, metric="weak",
-                               threads=threads) == base
+    base = rank_candidates(cands, levels=5, metric="weak")
+    for order in itertools.permutations(cands):
+        assert rank_candidates(order, levels=5, metric="weak") == base
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -245,6 +249,14 @@ def test_cli_dc_table(capsys):
     assert run_cli(["dc-table", "--kmax", "4", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows[-1]["exact"] == "30"
+
+
+@pytest.mark.parametrize("dps", ["15", "20"])
+def test_cli_kernel_report_low_precision(capsys, dps):
+    assert run_cli(["--precision", dps, "kernel-report", "--x", "1/20"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert float(data["residuals"]["F"]) < 1e-10
+    assert float(data["residuals"]["dF"]) < 1e-10
 
 
 def test_cli_kernel_report(capsys):
@@ -323,6 +335,46 @@ def test_cli_count_file_input(tmp_path, capsys):
     path.write_text(write_chi(convex(6).chi, 0))
     assert run_cli(["count", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "14"
+
+
+def test_cli_count_points_file_needs_no_root(tmp_path, capsys):
+    ps = random_point_set(7, random.Random(7))
+    path = tmp_path / "config.pts"
+    path.write_text("".join(f"{x} {y}\n" for x, y in ps))
+    expected = count_triangulations(chirotope_from_points(ps))
+    assert run_cli(["count", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == str(expected)
+    # dropping the root, or the polynomial route, needs a root the file lacks
+    for extra in (["--drop-root"], ["--method", "poly"]):
+        assert run_cli(["count", str(path), *extra]) == 1
+        assert "no root given" in capsys.readouterr().err
+
+
+def test_cli_count_poly_accepts_rooted_file(tmp_path, capsys):
+    path = tmp_path / "chi2.chi"
+    rc = meet(chi1(), convex(5))[0]
+    path.write_text(write_chi(rc.chi, rc.root))
+    assert run_cli(["count", str(path), "--method", "poly"]) == 0
+    poly = capsys.readouterr().out
+    assert run_cli(["count", str(path)]) == 0
+    assert poly == capsys.readouterr().out == f"{count_triangulations(rc.chi)}\n"
+
+
+def test_cli_closed_pipe_exits_quietly():
+    # stdout is a pipe whose read end is already closed, as in `... | head`
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chirotri.cli", "poly", "chik(110)"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_cli_poly_unwritable_out_is_a_domain_error(tmp_path, capsys):
