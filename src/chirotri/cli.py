@@ -109,6 +109,8 @@ def _cmd_kernel_report(args) -> int:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError) as exc:
         raise OutOfRange(f"bad rational {args.x!r}") from exc
+    if args.terms < 1:
+        raise OutOfRange("--terms must be at least 1")
     dps = args.precision
     table = QkTable(args.terms)
     pt = small_roots(x, dps=dps)
@@ -202,6 +204,8 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.precision < 1:
+            raise OutOfRange("--precision must be at least 1")
         return args.func(args)
     except ChirotriError as exc:
         print(f"error: {exc}", file=sys.stderr)

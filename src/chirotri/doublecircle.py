@@ -15,13 +15,18 @@ with kernel K(z,u) = (u-1)^2 (1 - z u^2) - z u^3. Substituting the two small
 kernel roots u2(x) in (0,1) and u1(x) in (1,2) eliminates F and yields closed
 forms for F(x,1) and dF/du(x,1); their square-root singularity at x = 1/12
 gives the asymptotic constant. All analytics here are numeric at configurable
-precision and validated against the exact integer pipeline.
+precision and validated against the exact integer pipeline. Each kernel root
+is the one that bisection to the working precision returns; Newton's method
+plus the last bisection steps reach that same mpf with O(log prec) Newton
+steps instead of O(prec) halvings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, mul
 
 import mpmath as mp
 
@@ -29,6 +34,15 @@ from .errors import InternalInvariantViolation, NumericalInstability, OutOfRange
 from .polynomials import UnivarPoly
 
 DEFAULT_DPS = 50
+
+
+def _workdps(dps):
+    """mp.workdps at dps significant digits, DEFAULT_DPS when dps is None."""
+    if dps is None:
+        dps = DEFAULT_DPS
+    if dps < 1:
+        raise OutOfRange(f"need dps >= 1, got {dps}")
+    return mp.workdps(dps)
 
 
 def _to_mpf(x):
@@ -40,34 +54,39 @@ def _to_mpf(x):
 # -- exact integer pipeline ---------------------------------------------------
 
 
-def qk_step(q: UnivarPoly) -> UnivarPoly:
-    """One recursion step: convolve the coefficients of q with N(d, 3).
+def _step(c: list) -> tuple[list, int, int]:
+    """One recursion step on a dense coefficient list (index = exponent).
 
-    Computed with suffix sums so a step over a degree-D polynomial costs O(D)
-    big-integer operations:
+    Returns (next row, c(1), c'(1)) for a row with c_0 = c_1 = 0. With the
+    suffix sums s_i = sum_{d>=i} c_d and t_i = sum_{j>=i} s_j, the step
 
-        result = u^2 * q(u)
-               + sum_{i>=1} (M_i - i*S_i) u^(i+1) + S_i u^(i+2)
+        next = u^2 c(u) + sum_{i>=2} t_i u^i + s_i u^(i+1)
+             = t_2 u^2 + sum_{e>=3} (c_{e-2} + t_{e-1}) u^e
 
-    where S_i and M_i are the suffix sums of the coefficients and of
-    coefficient*degree strictly above i.
+    costs O(D) big-integer additions over a degree-D row, and the same sums
+    give c(1) = s_0 and c'(1) = t_1.
     """
+    rs = list(accumulate(reversed(c)))  # s_D, ..., s_0
+    t = list(accumulate(rs))[::-1]  # t_0, ..., t_D
+    return [0, 0, t[2], *map(add, c[1:], t[2:]), c[-1]], rs[-1], t[1]
+
+
+def _dense(q: UnivarPoly) -> list:
+    row = [0] * (q.max_exp + 1)
+    for e, c in q.terms():
+        row[e] = c
+    return row
+
+
+def _sparse(row: list) -> UnivarPoly:
+    return UnivarPoly({e: c for e, c in enumerate(row) if c})
+
+
+def qk_step(q: UnivarPoly) -> UnivarPoly:
+    """One recursion step: convolve the coefficients of q with N(d, 3)."""
     if q.is_zero() or q.min_exp < 2:
         raise OutOfRange("step input needs minimum exponent >= 2")
-    dmax = q.max_exp
-    out: dict[int, int] = {}
-    for d, c in q.terms():
-        out[d + 2] = out.get(d + 2, 0) + c
-    s = 0  # sum of q_d for d > i
-    m = 0  # sum of d*q_d for d > i
-    coeffs = q._c
-    for i in range(dmax - 1, 0, -1):
-        c = coeffs.get(i + 1, 0)
-        s += c
-        m += (i + 1) * c
-        out[i + 1] = out.get(i + 1, 0) + m - i * s
-        out[i + 2] = out.get(i + 2, 0) + s
-    return UnivarPoly(out)
+    return _sparse(_step(_dense(q))[0])
 
 
 def _divide_by_u_minus_1(coeffs: list) -> tuple[list, int]:
@@ -94,41 +113,45 @@ def qk_step_closedform(q: UnivarPoly) -> UnivarPoly:
     deriv = q.deriv_at_one()
     mult = UnivarPoly({4: 1, 3: -1, 2: 1})
     num = (q - UnivarPoly({0: total})) * mult - deriv * UnivarPoly({3: 1, 2: -1})
-    dense = [0] * (num.max_exp + 1)
-    for e, c in num.terms():
-        dense[e] = c
+    dense = _dense(num)
     for _ in range(2):
         dense, rem = _divide_by_u_minus_1(dense)
         if rem != 0:
             raise InternalInvariantViolation(
                 "closed-form step: division by (u-1)^2 left a remainder")
-    return UnivarPoly({e: c for e, c in enumerate(dense) if c})
+    return _sparse(dense)
 
 
 class QkTable:
-    """Q_1 .. Q_kmax with cached totals, u^2 coefficients, and derivatives."""
+    """Q_1 .. Q_kmax as dense coefficient lists, with their totals, u^2
+    coefficients and derivatives at u = 1."""
 
     def __init__(self, kmax: int):
         if kmax < 1:
             raise OutOfRange(f"need kmax >= 1, got {kmax}")
         self.kmax = kmax
-        self.polys = [UnivarPoly.monomial(3)]
+        self.rows = [[0, 0, 0, 1]]
+        self.totals = []
+        self.derivs = []
         for _ in range(kmax - 1):
-            self.polys.append(qk_step(self.polys[-1]))
-        self.totals = [p(1) for p in self.polys]
-        self.slice2 = [p.coeff(2) for p in self.polys]
-        self.derivs = [p.deriv_at_one() for p in self.polys]
+            nxt, total, deriv = _step(self.rows[-1])
+            self.rows.append(nxt)
+            self.totals.append(total)
+            self.derivs.append(deriv)
+        last = self.rows[-1]
+        self.totals.append(sum(last))
+        self.derivs.append(sum(map(mul, range(len(last)), last)))
 
     def q(self, k: int) -> UnivarPoly:
         if not 1 <= k <= self.kmax:
             raise OutOfRange(f"k={k} outside 1..{self.kmax}")
-        return self.polys[k - 1]
+        return _sparse(self.rows[k - 1])
 
     def total(self, k: int) -> int:
         return self.totals[k - 1]
 
     def coeff2(self, k: int) -> int:
-        return self.slice2[k - 1]
+        return self.rows[k - 1][2]
 
     def deriv(self, k: int) -> int:
         return self.derivs[k - 1]
@@ -171,6 +194,11 @@ def kernel(x, u):
     return (u - 1) ** 2 * (1 - x * u * u) - x * u ** 3
 
 
+def _kernel_du(x, u):
+    """dK/du(x, u)."""
+    return 2 * (u - 1) * (1 - x * u * u) - 2 * x * u * (u - 1) ** 2 - 3 * x * u * u
+
+
 def _bisect(f, lo, hi, steps):
     flo = f(lo)
     for _ in range(steps):
@@ -185,22 +213,63 @@ def _bisect(f, lo, hi, steps):
     return (lo + hi) / 2
 
 
-def small_roots(x, dps: int | None = None) -> KernelPoint:
-    """The kernel roots u2 in (0, 1) and u1 in (1, 2) above x, by bisection.
+def _kernel_root(x, a: int, b: int):
+    """The root of K(x, .) in (a, b) that ``_bisect`` returns after
+    ``mp.prec + 2`` halvings of (a, b), found with far fewer evaluations.
 
-    Bisection runs to the working precision, so the kernel residual at each
-    root is a few units of mp.eps whatever the precision.
+    Newton's method at working precision, from a float bisection, finds the
+    root r. The full bisection passes through the dyadic cell of depth
+    j = prec + 2 - margin that holds r: every other midpoint it visits lies
+    at least 2^-j from the root, where K is larger than its rounding error
+    because margin grows with -log2 |K'(r)|, and the two ends of the cell
+    are evaluated here as bisection evaluates them. So bisection resumes at
+    that cell for its last margin halvings and returns the same mpf. If
+    Newton does not settle, or the ends of the cell do not read like f(a)
+    and its opposite, the full bisection runs.
     """
-    with mp.workdps(dps or DEFAULT_DPS):
+    f = lambda u: kernel(x, u)
+    steps = mp.mp.prec + 2
+    xf = float(x)
+    u = mp.mpf(_bisect(lambda v: kernel(xf, v), float(a), float(b), 53))
+    # from a float start each Newton step about doubles the correct bits
+    for _ in range(steps.bit_length() + 4):
+        d = _kernel_du(x, u)
+        if d == 0:
+            break
+        # margin: 10 bits for K's rounding error of a few units of 2^-prec,
+        # plus the bits a small |K'| loses (mag(d) >= log2 |d| > mag(d) - 1)
+        j = steps - 10 - max(0, 1 - mp.mag(d))
+        du = f(u) / d
+        u -= du
+        if abs(du) < mp.ldexp(1, -j - 3):
+            m = int(mp.floor(mp.ldexp(u - a, j)))  # u in [lo, hi)
+            if j < 1 or not 0 <= m < 2 ** j:
+                break
+            lo = a + mp.ldexp(m, -j)
+            hi = a + mp.ldexp(m + 1, -j)
+            fa, flo, fhi = f(mp.mpf(a)), f(lo), f(hi)
+            if flo and fhi and (flo > 0) == (fa > 0) != (fhi > 0):
+                return _bisect(f, lo, hi, steps - j)
+            break
+    return _bisect(f, mp.mpf(a), mp.mpf(b), steps)
+
+
+def small_roots(x, dps: int | None = None) -> KernelPoint:
+    """The kernel roots u2 in (0, 1) and u1 in (1, 2) above x.
+
+    Each root is the one bisection to the working precision returns, so the
+    kernel residual at each root is a few units of mp.eps whatever the
+    precision. Newton's method plus the last bisection steps reach that same
+    result (``_kernel_root``).
+    """
+    with _workdps(dps):
         xm = _to_mpf(x)
         if not (0 < xm < mp.mpf(1) / 12):
             raise OutOfRange(f"x={x} outside (0, 1/12)")
-        f = lambda u: kernel(xm, u)
-        steps = mp.mp.prec + 2
-        u2 = _bisect(f, mp.mpf(0), mp.mpf(1), steps)
-        u1 = _bisect(f, mp.mpf(1), mp.mpf(2), steps)
+        u2 = _kernel_root(xm, 0, 1)
+        u1 = _kernel_root(xm, 1, 2)
         tol = 4 * mp.eps
-        if abs(f(u1)) > tol or abs(f(u2)) > tol:
+        if abs(kernel(xm, u1)) > tol or abs(kernel(xm, u2)) > tol:
             raise NumericalInstability("kernel root residual above tolerance")
         return KernelPoint(xm, u1, u2)
 
@@ -210,7 +279,7 @@ def f_closed(pt: KernelPoint, dps: int | None = None):
 
     The denominator u1 + u2 - u1 u2 = 1 + (u1 - 1)(1 - u2) is at least 1.
     """
-    with mp.workdps(dps or DEFAULT_DPS):
+    with _workdps(dps):
         u1, u2 = pt.u1, pt.u2
         den = u1 + u2 - u1 * u2
         f = (u1 - 1) * (1 - u2) * (u1 + u2 - 1) / den
@@ -223,7 +292,7 @@ def f_series(x, terms: int, table: QkTable | None = None, dps: int | None = None
     """Truncated series for F(x, 1), from the exact totals."""
     if table is None or table.kmax < terms:
         table = QkTable(terms)
-    with mp.workdps(dps or DEFAULT_DPS):
+    with _workdps(dps):
         xm = _to_mpf(x)
         return mp.fsum(table.total(k) * xm ** k for k in range(1, terms + 1))
 
@@ -232,7 +301,7 @@ def df_series(x, terms: int, table: QkTable | None = None, dps: int | None = Non
     """Truncated series for dF/du(x, 1), from the exact derivatives."""
     if table is None or table.kmax < terms:
         table = QkTable(terms)
-    with mp.workdps(dps or DEFAULT_DPS):
+    with _workdps(dps):
         xm = _to_mpf(x)
         return mp.fsum(table.deriv(k) * xm ** k for k in range(1, terms + 1))
 
@@ -242,7 +311,7 @@ def f_series_bivar(x, u, terms: int, table: QkTable | None = None,
     """Truncated series for F(x, u)."""
     if table is None or table.kmax < terms:
         table = QkTable(terms)
-    with mp.workdps(dps or DEFAULT_DPS):
+    with _workdps(dps):
         xm = _to_mpf(x)
         um = _to_mpf(u)
         return mp.fsum(table.q(k)(um) * xm ** k for k in range(1, terms + 1))
@@ -258,7 +327,7 @@ def functional_equation_residual(x, u, terms: int = 80,
     """
     if table is None or table.kmax < terms:
         table = QkTable(terms)
-    with mp.workdps(dps or DEFAULT_DPS):
+    with _workdps(dps):
         xm = _to_mpf(x)
         um = _to_mpf(u)
         fu = f_series_bivar(xm, um, terms, table, dps=dps)
@@ -277,7 +346,7 @@ def constants(dps: int | None = None) -> AsymptoticConstants:
     c2 simplifies exactly to 6*sqrt(21)/49 and the asymptotic prefactor to
     9*c2 / (2*sqrt(pi)); both routes are evaluated from the surd expressions.
     """
-    with mp.workdps(dps or DEFAULT_DPS):
+    with _workdps(dps):
         r21 = mp.sqrt(21)
         c1 = (-13 + 3 * r21) / (7 - r21)
         c2 = mp.mpf(12) / 7 * r21 * (5 - r21) / (7 - r21) ** 2
@@ -305,7 +374,7 @@ def asymptotic_report(ks, table: QkTable | None = None,
         table = QkTable(max(ks) - 1)
     cs = constants(dps=dps)
     rows = []
-    with mp.workdps(dps or DEFAULT_DPS):
+    with _workdps(dps):
         for k in ks:
             exact = dc_count(k, table)
             est = cs.theorem_constant * mp.mpf(12) ** (k - 2) * mp.mpf(k) ** mp.mpf("-1.5")

@@ -2,6 +2,8 @@
 
 from math import comb
 
+import mpmath as mp
+
 from chirotri import PointSet, RootedChirotope, chirotope_from_points
 
 
@@ -57,3 +59,30 @@ def iter_maximal_unpruned(masks):
         if masks[i] & suffix[i + 1] & ~dom:
             stack.append((i + 1, dom, pend | bit, chosen))
         stack.append((i + 1, dom | masks[i], pend & ~masks[i], chosen | bit))
+
+
+def small_roots_bisection(x, dps):
+    """Spec for ``doublecircle.small_roots``: (u1, u2) by bisection alone.
+
+    Each bracket, (1, 2) for u1 and (0, 1) for u2, is halved ``mp.prec + 2``
+    times at dps digits. The roots ``small_roots`` returns must be the same
+    mpf values.
+    """
+    with mp.workdps(dps):
+        xm = mp.mpf(x.numerator) / x.denominator
+        f = lambda u: (u - 1) ** 2 * (1 - xm * u * u) - xm * u ** 3
+        roots = []
+        for lo, hi in ((mp.mpf(1), mp.mpf(2)), (mp.mpf(0), mp.mpf(1))):
+            flo = f(lo)
+            for _ in range(mp.mp.prec + 2):
+                mid = (lo + hi) / 2
+                fm = f(mid)
+                if fm == 0:
+                    lo = hi = mid
+                    break
+                if (fm > 0) == (flo > 0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            roots.append((lo + hi) / 2)
+        return tuple(roots)

@@ -1,15 +1,19 @@
 """Double-circle pipeline: recursion table, exact counts, kernel analytics."""
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from chirotri import doublecircle
 from chirotri import (OutOfRange, QkTable, UnivarPoly, brute_Q, chi_k,
                       chirotope_from_points, constants, count_triangulations,
                       dc_count, double_circle_points, f_closed, f_series,
                       df_series, functional_equation_residual, join_Q, kernel,
                       qk_step, qk_step_closedform, small_roots)
+
+from helpers import small_roots_bisection
 
 U = UnivarPoly
 
@@ -39,6 +43,19 @@ def test_qk_step_variants_agree():
         assert qk_step_closedform(TABLE.q(k)) == nxt
     for k in range(1, 12):
         assert join_Q(TABLE.q(k), u3) == TABLE.q(k + 1)
+
+
+def test_table_against_independent_routes():
+    # the closed-form chain, plain coefficient sums and the public step
+    table = QkTable(201)
+    q = U({3: 1})
+    for k in range(1, 201):
+        assert table.q(k) == q
+        assert table.total(k) == sum(c for _, c in q.terms())
+        assert table.deriv(k) == sum(e * c for e, c in q.terms())
+        assert table.coeff2(k) == q.coeff(2)
+        assert qk_step(table.q(k)) == table.q(k + 1)
+        q = qk_step_closedform(q)
 
 
 def test_qk_degree_law_and_positivity():
@@ -87,6 +104,8 @@ def test_small_roots_bracketing():
         small_roots(Fraction(1, 12))
     with pytest.raises(OutOfRange):
         small_roots(0)
+    with pytest.raises(OutOfRange):
+        small_roots(Fraction(1, 20), dps=0)
 
 
 def test_small_roots_near_zero():
@@ -123,6 +142,57 @@ def test_small_roots_residual_follows_precision(dps):
     with mp.workdps(dps):
         assert abs(pt.u1 - ref.u1) <= 4 * mp.eps
         assert abs(pt.u2 - ref.u2) <= 4 * mp.eps
+
+
+def _seeded_abscissae(n, seed):
+    rng = random.Random(seed)
+    xs = []
+    for _ in range(n):
+        p = rng.randint(1, 12)
+        xs.append(Fraction(p, rng.randint(12 * p + 1, 150)))
+    return xs
+
+
+SPEC_XS = (Fraction(1, 10 ** 8), Fraction(1, 1000), Fraction(1, 20),
+           Fraction(1, 13), Fraction(1, 12) - Fraction(1, 10 ** 10),
+           Fraction(1, 12) - Fraction(1, 10 ** 12), *_seeded_abscissae(8, 71))
+
+
+def _spy_full_bisections(monkeypatch):
+    """Record the calls of ``_bisect`` that halve a whole bracket to the
+    working precision, i.e. that skip the Newton jump."""
+    full = []
+    real = doublecircle._bisect
+
+    def spy(f, lo, hi, steps):
+        if isinstance(lo, mp.mpf) and steps == mp.mp.prec + 2:
+            full.append((lo, hi))
+        return real(f, lo, hi, steps)
+
+    monkeypatch.setattr(doublecircle, "_bisect", spy)
+    return full
+
+
+@pytest.mark.parametrize("dps", [10, 15, 20, 30, 50, 100, 300, 1000])
+def test_small_roots_match_bisection_spec(monkeypatch, dps):
+    full = _spy_full_bisections(monkeypatch)
+    xs = SPEC_XS if dps < 1000 else (Fraction(1, 20), SPEC_XS[4])
+    for x in xs:
+        pt = small_roots(x, dps=dps)
+        assert (pt.u1, pt.u2) == small_roots_bisection(x, dps), x
+    # the Newton jump, not the full bisection, finds nearly every root
+    assert len(full) <= 2
+
+
+@pytest.mark.parametrize("x, dps", [(Fraction(11, 149), 300),
+                                    (Fraction(8, 115), 15)])
+def test_small_roots_fallback_matches_bisection_spec(monkeypatch, x, dps):
+    # Newton lands on a point where K evaluates to exactly 0, so the cell
+    # check fails and u1 comes from the full bisection
+    full = _spy_full_bisections(monkeypatch)
+    pt = small_roots(x, dps=dps)
+    assert full == [(1, 2)]
+    assert (pt.u1, pt.u2) == small_roots_bisection(x, dps)
 
 
 def test_f_closed_against_series():

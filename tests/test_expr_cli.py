@@ -268,6 +268,23 @@ def test_cli_kernel_report(capsys):
     assert float(data["residuals"]["F"]) < 1e-10
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--precision", "0", "kernel-report", "--x", "1/20"],
+     "--precision must be at least 1"),
+    (["--precision", "-5", "dc-table", "--kmax", "5"],
+     "--precision must be at least 1"),
+    (["kernel-report", "--x", "1/20", "--terms", "0"],
+     "--terms must be at least 1"),
+    (["kernel-report", "--x", "1/20", "--terms", "-3"],
+     "--terms must be at least 1"),
+], ids=["precision-0", "precision-neg", "terms-0", "terms-neg"])
+def test_cli_rejects_nonpositive_precision_and_terms(capsys, argv, message):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_axioms(tmp_path, capsys):
     path = tmp_path / "c5.chi"
     path.write_text(write_chi(convex(5).chi))
@@ -360,11 +377,24 @@ def test_cli_count_poly_accepts_rooted_file(tmp_path, capsys):
     assert poly == capsys.readouterr().out == f"{count_triangulations(rc.chi)}\n"
 
 
+def _env_with_src():
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_python_m_chirotri_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "chirotri", "--precision", "15",
+         "kernel-report", "--x", "1/20"],
+        capture_output=True, env=_env_with_src(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["x"] == "1/20"
+
+
 def test_cli_closed_pipe_exits_quietly():
     # stdout is a pipe whose read end is already closed, as in `... | head`
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env = _env_with_src()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
