@@ -46,7 +46,7 @@ def table_sign(table, x, y, z):
 class Chirotope:
     """Immutable sign table over all sorted triples of 0..n-1."""
 
-    __slots__ = ("n", "_table", "_verified")
+    __slots__ = ("n", "_table")
 
     def __init__(self, n: int, table: dict):
         if n < 3:
@@ -61,7 +61,6 @@ class Chirotope:
                 raise InvalidTriple(f"sign of {t} must be +1 or -1, got {s}")
         self.n = n
         self._table = dict(table)
-        self._verified = False
 
     # -- queries ---------------------------------------------------------
 
@@ -88,11 +87,6 @@ class Chirotope:
 
     def __repr__(self):
         return f"Chirotope(n={self.n})"
-
-    @property
-    def is_verified(self) -> bool:
-        """True once an axiom scan has passed on this instance."""
-        return self._verified
 
     # -- structure -------------------------------------------------------
 
@@ -188,10 +182,7 @@ class Chirotope:
             for t, x, y, z in np.argwhere(bad):
                 transitivity.append((s, int(t), int(x), int(y), int(z)))
 
-        report = AxiomReport(interiority, transitivity)
-        if report.ok:
-            self._verified = True
-        return report
+        return AxiomReport(interiority, transitivity)
 
 
 @dataclass

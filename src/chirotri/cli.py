@@ -137,10 +137,8 @@ def _cmd_search(args) -> int:
                                         lenient=args.lenient)
     for idx in skipped:
         print(f"note: record {idx} skipped (collinear)", file=sys.stderr)
-    rows, notes = koch_variant_search(records, args.levels, args.metric,
-                                      cap=args.oracle_cap)
-    for note in notes:
-        print(f"note: {note}", file=sys.stderr)
+    rows = koch_variant_search(records, args.levels, args.metric,
+                               cap=args.oracle_cap)
     print("record,root,score")
     limit = args.top if args.top else len(rows)
     for r in rows[:limit]:

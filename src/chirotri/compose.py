@@ -7,6 +7,10 @@ point x0, then the new root last. The meet is the same merge with the two
 mixed-block orientation cases negated; it also equals the twist/join/twist
 composition twist(join(twist(b), twist(a))), which the tests compare against
 it triple for triple.
+
+The generators check their own argument ranges, so both evaluation modes of
+the expression language fail alike. The double circle is built once, at a
+fixed pull-in factor, and validated; nothing is retried.
 """
 
 from __future__ import annotations
@@ -193,11 +197,13 @@ def koch(i: int) -> RootedChirotope:
 def double_circle_points(k: int) -> PointSet:
     """2k exact-rational points: k outer in convex position, k just inside.
 
-    Outer points sit on the rational unit circle; each inner point is the
-    midpoint of one hull edge pulled toward the centroid by a small rational
-    factor. The factor halves until the configuration validates: general
-    position, extreme set equal to the outer labels, and every orientation
-    that is nonzero in the midpoint limit unchanged by the pull.
+    Outer points sit on the rational unit circle; inner point j is the
+    midpoint of hull edge (j, j+1) pulled toward the centroid by the factor
+    2^-20 * (100k + j + 1) / (100k), distinct per point to break accidental
+    mirror symmetries. The result must be in general position, have the
+    outer labels as its extreme set, and keep every orientation that is
+    nonzero in the midpoint limit; this holds for every k in 3..12, and a
+    failure raises ConstructionFailed.
     """
     if not 3 <= k <= 12:
         raise OutOfRange(f"need 3 <= k <= 12, got {k}")
@@ -210,47 +216,29 @@ def double_circle_points(k: int) -> PointSet:
         q = outer[(j + 1) % k]
         p = outer[j]
         mids.append(((p[0] + q[0]) / 2, (p[1] + q[1]) / 2))
-
-    def build(eps: Fraction, salt: int) -> PointSet:
-        inner = []
-        for j, (mx, my) in enumerate(mids):
-            # distinct per-point factors break accidental mirror symmetries;
-            # the salt changes the pattern across retries
-            e = eps * (100 * k + (salt + 1) * (j + 1)) / (100 * k)
-            inner.append((mx + e * (cx - mx), my + e * (cy - my)))
-        return PointSet(list(outer) + inner)
-
-    def limit_orient(ps, a, b, c):
-        # orientation when inner points collapse onto their edge midpoints
-        def lim(i):
-            return ps[i] if i < k else mids[i - k]
-        pa, pb, pc = lim(a), lim(b), lim(c)
-        return ((pb[0] - pa[0]) * (pc[1] - pa[1])
-                - (pb[1] - pa[1]) * (pc[0] - pa[0]))
-
-    eps = Fraction(1, 2 ** 20)
-    for attempt in range(60):
-        ps = build(eps, attempt // 10)
-        try:
-            chi = chirotope_from_points(ps)
-        except GeneralPositionViolation:
-            eps /= 2
+    inner = []
+    for j, (mx, my) in enumerate(mids):
+        e = Fraction(100 * k + j + 1, 100 * k * 2 ** 20)
+        inner.append((mx + e * (cx - mx), my + e * (cy - my)))
+    ps = PointSet(outer + inner)
+    try:
+        chi = chirotope_from_points(ps)
+    except GeneralPositionViolation as exc:
+        raise ConstructionFailed(f"double circle k={k}: {exc}") from exc
+    if chi.extreme_elements() != frozenset(range(k)):
+        raise ConstructionFailed(f"double circle k={k}: inner point on the hull")
+    # inner points collapsed onto their edge midpoints
+    limit = outer + mids
+    for a, b, c in combinations(range(2 * k), 3):
+        if c < k:
             continue
-        if chi.extreme_elements() != frozenset(range(k)):
-            eps /= 2
-            continue
-        ok = True
-        for a, b, c in combinations(range(2 * k), 3):
-            if max(a, b, c) < k:
-                continue
-            d = limit_orient(ps, a, b, c)
-            if d != 0 and (1 if d > 0 else -1) != chi._sign(a, b, c):
-                ok = False
-                break
-        if ok:
-            return ps
-        eps /= 2
-    raise ConstructionFailed(f"could not validate double circle for k={k}")
+        (ax, ay), (bx, by), (qx, qy) = limit[a], limit[b], limit[c]
+        d = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
+        if d != 0 and (d > 0) != (chi._sign(a, b, c) > 0):
+            raise ConstructionFailed(
+                f"double circle k={k}: orientation ({a}, {b}, {c}) differs "
+                f"from its midpoint limit")
+    return ps
 
 
 def double_circle(k: int) -> RootedChirotope:

@@ -157,12 +157,16 @@ class QkTable:
         return self.derivs[k - 1]
 
 
+def _table(table: QkTable | None, kmax: int) -> QkTable:
+    """``table`` if it reaches Q_kmax, else a new QkTable(kmax)."""
+    return table if table is not None and table.kmax >= kmax else QkTable(kmax)
+
+
 def dc_count(k: int, table: QkTable | None = None) -> int:
     """Exact number of triangulations of the double circle with k outer points."""
     if k < 3:
         raise OutOfRange(f"need k >= 3, got {k}")
-    if table is None or table.kmax < k - 1:
-        table = QkTable(k - 1)
+    table = _table(table, k - 1)
     return table.total(k - 1) - table.coeff2(k - 1)
 
 
@@ -288,33 +292,23 @@ def f_closed(pt: KernelPoint, dps: int | None = None):
         return f, df
 
 
+def _series(coeff, terms: int, xm):
+    """sum of coeff(k) * xm^k over k = 1..terms, summed by mp.fsum."""
+    return mp.fsum(coeff(k) * xm ** k for k in range(1, terms + 1))
+
+
 def f_series(x, terms: int, table: QkTable | None = None, dps: int | None = None):
     """Truncated series for F(x, 1), from the exact totals."""
-    if table is None or table.kmax < terms:
-        table = QkTable(terms)
+    table = _table(table, terms)
     with _workdps(dps):
-        xm = _to_mpf(x)
-        return mp.fsum(table.total(k) * xm ** k for k in range(1, terms + 1))
+        return _series(table.total, terms, _to_mpf(x))
 
 
 def df_series(x, terms: int, table: QkTable | None = None, dps: int | None = None):
     """Truncated series for dF/du(x, 1), from the exact derivatives."""
-    if table is None or table.kmax < terms:
-        table = QkTable(terms)
+    table = _table(table, terms)
     with _workdps(dps):
-        xm = _to_mpf(x)
-        return mp.fsum(table.deriv(k) * xm ** k for k in range(1, terms + 1))
-
-
-def f_series_bivar(x, u, terms: int, table: QkTable | None = None,
-                   dps: int | None = None):
-    """Truncated series for F(x, u)."""
-    if table is None or table.kmax < terms:
-        table = QkTable(terms)
-    with _workdps(dps):
-        xm = _to_mpf(x)
-        um = _to_mpf(u)
-        return mp.fsum(table.q(k)(um) * xm ** k for k in range(1, terms + 1))
+        return _series(table.deriv, terms, _to_mpf(x))
 
 
 def functional_equation_residual(x, u, terms: int = 80,
@@ -325,12 +319,11 @@ def functional_equation_residual(x, u, terms: int = 80,
     All three series are truncated at the same order, so the residual is the
     truncation tail only.
     """
-    if table is None or table.kmax < terms:
-        table = QkTable(terms)
+    table = _table(table, terms)
     with _workdps(dps):
         xm = _to_mpf(x)
         um = _to_mpf(u)
-        fu = f_series_bivar(xm, um, terms, table, dps=dps)
+        fu = _series(lambda k: table.q(k)(um), terms, xm)
         f1 = f_series(xm, terms, table, dps=dps)
         df1 = df_series(xm, terms, table, dps=dps)
         lhs = fu * kernel(xm, um)
@@ -370,8 +363,7 @@ def asymptotic_report(ks, table: QkTable | None = None,
     ks = sorted(ks)
     if any(k < 3 for k in ks):
         raise OutOfRange("report needs k >= 3")
-    if table is None or table.kmax < max(ks) - 1:
-        table = QkTable(max(ks) - 1)
+    table = _table(table, max(ks) - 1)
     cs = constants(dps=dps)
     rows = []
     with _workdps(dps):

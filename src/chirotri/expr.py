@@ -347,18 +347,23 @@ def _materialize_atom(e: Atom) -> RootedChirotope:
 
 
 def _expand_for_polynomials(e: Atom):
-    """Rewrite a recursive generator atom into a shared tree of small leaves."""
+    """Rewrite a recursive generator atom into a shared tree of small leaves.
+
+    convex(n) is the join of n - 2 triangles. An argument outside the
+    generator's domain is not expanded: the atom is materialized, and
+    ``compose`` raises its typed error.
+    """
     if e.name == "koch":
         node = Atom("triangle")
         for level in range(1, e.args[0] + 1):
             node = Join(node, node) if level % 2 == 1 else Meet(node, node)
         return node
-    if e.name == "chik":
+    if e.name == "chik" and e.args[0] >= 1:
         node = Atom("chi1")
         for _ in range(e.args[0] - 1):
             node = Join(node, Atom("chi1"))
         return node
-    if e.name == "convex" and e.args[0] > 9:
+    if e.name == "convex" and e.args[0] >= 3:
         node = Atom("triangle")
         for _ in range(e.args[0] - 3):
             node = Join(node, Atom("triangle"))

@@ -42,14 +42,6 @@ class UnivarPoly:
                 raise OutOfRange(f"bad exponent {e!r}")
         self._c = _clean(coeffs)
 
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1):
-        return cls({exp: coeff})
-
     def coeff(self, e: int) -> int:
         return self._c.get(e, 0)
 
@@ -182,17 +174,6 @@ class BivarPoly:
                             for b, cv in v_part.terms()}
         return self._coeffs
 
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def monomial(cls, ue: int, ve: int, coeff: int = 1):
-        return cls({(ue, ve): coeff})
-
-    def coeff(self, ue: int, ve: int) -> int:
-        return self._c.get((ue, ve), 0)
-
     def terms(self):
         """((u-exp, v-exp), coefficient) pairs in lexicographic order."""
         return sorted(self._c.items())
@@ -220,24 +201,6 @@ class BivarPoly:
         if not self._c:
             raise EmptyInput("zero polynomial has no exponents")
         return min(b for _, b in self._c)
-
-    def __add__(self, other):
-        out = dict(self._c)
-        for k, c in other._c.items():
-            out[k] = out.get(k, 0) + c
-        return BivarPoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return BivarPoly({k: c * other for k, c in self._c.items()})
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self._c.items():
-            for (a2, b2), c2 in other._c.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BivarPoly(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, BivarPoly) and self._c == other._c

@@ -4,7 +4,8 @@ Each candidate rooted chirotope becomes the level-3 stage of the alternating
 construction (join at odd levels, meet at even levels, both operands the
 previous level). Intermediate levels carry full weak-triangulation
 polynomials; the final level is scored through the marginal count only, so
-the last bivariate polynomial is never built. Candidates are scored one
+the last bivariate polynomial is never built. A database search tries every
+extreme element of every record as the root. Candidates are scored one
 after another in one process: the merges are pure-Python big-integer work
 that threads cannot overlap, and one score takes milliseconds.
 """
@@ -37,7 +38,10 @@ def seed_score(rc: RootedChirotope, levels: int, metric: str = "weak",
     polynomial in full.
     """
     if levels < SEED_LEVEL + 1 or levels > 8:
-        raise OutOfRange(f"levels must be in 4..8, got {levels}")
+        raise OutOfRange(
+            f"levels must be in 4..8, got {levels}: level 3 is the seed, and "
+            f"level 9 would build a level-8 polynomial, about 46 s for a "
+            f"9-point seed")
     if metric not in ("weak", "count"):
         raise OutOfRange(f"metric must be 'weak' or 'count', got {metric!r}")
     p = brute_P(rc, cap=max(rc.chi.n, 12) if cap is None else cap)
@@ -64,21 +68,14 @@ def rank_candidates(candidates, levels: int, metric: str = "weak",
 
 
 def koch_variant_search(records, levels: int, metric: str = "weak",
-                        roots=None, cap: int | None = None):
+                        cap: int | None = None):
     """Run the pipeline over database records, one candidate per extreme root.
 
-    If ``roots`` restricts the roots to try, non-extreme requests are skipped
-    and reported in the notes list. Returns (ranked rows, notes).
+    Returns the ranked rows (see ``rank_candidates``).
     """
-    notes: list[str] = []
     candidates = []
     for rec in records:
         chi = chirotope_from_points(rec.point_set())
-        extremes = chi.extreme_elements()
-        wanted = sorted(extremes) if roots is None else roots
-        for root in wanted:
-            if root not in extremes:
-                notes.append(f"record {rec.index}: root {root} is not extreme; skipped")
-                continue
-            candidates.append(((rec.index), root, RootedChirotope(chi, root)))
-    return rank_candidates(candidates, levels, metric, cap), notes
+        for root in sorted(chi.extreme_elements()):
+            candidates.append((rec.index, root, RootedChirotope(chi, root)))
+    return rank_candidates(candidates, levels, metric, cap)

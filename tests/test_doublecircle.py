@@ -36,7 +36,7 @@ def test_qk_matches_brute_force():
 
 def test_qk_step_variants_agree():
     q = U({3: 1})
-    u3 = U.monomial(3)
+    u3 = U({3: 1})
     assert qk_step_closedform(q) == qk_step(q) == join_Q(q, u3)
     for k in range(1, 41):
         nxt = TABLE.q(k + 1)

@@ -11,16 +11,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chirotri import (EvalMode, ExprSyntaxError, GeneralPositionViolation,
-                      MalformedFile, RootedChirotope, TooLarge, brute_Q,
-                      chi1, chirotope_from_points, convex,
-                      count_triangulations, eval_expr, iter_order_types,
-                      koch_variant_search, meet, meet_P, parse_expr,
-                      print_expr, q_from_p, rank_candidates, read_order_types,
-                      seed_score, serialize_order_types, write_chi)
+                      MalformedFile, OrderTypeRecord, RootedChirotope, TooLarge, brute_Q, chi1,
+                      chirotope_from_points, convex, count_triangulations,
+                      eval_expr, iter_order_types, koch_variant_search, meet,
+                      meet_P, parse_expr, print_expr, q_from_p,
+                      rank_candidates, read_order_types, seed_score,
+                      serialize_order_types, write_chi)
 from chirotri.cli import run_cli
-from chirotri.expr import Atom, Join, Meet, Twist
+from chirotri.expr import Atom, Flip, Join, Meet, Twist
 from chirotri.oracle import brute_P
 
 from helpers import catalan, random_point_set
@@ -60,17 +62,30 @@ def test_parse_errors():
     assert err is not None and err.line == 2 and err.col == 3
 
 
-def test_print_roundtrip():
-    sources = [
-        "join(triangle, triangle)",
-        "(koch(2) v koch(2)) ^ (koch(2) v koch(2))",
-        "twist(flip(meet(convex(5), chik(2))))",
-        'load("x.pts", 0)',
-        "join(triangle, triangle, chi1)",
-    ]
-    for src in sources:
-        tree = parse_expr(src)
-        assert parse_expr(print_expr(tree)) == tree
+_atoms = st.one_of(
+    st.sampled_from([Atom("triangle"), Atom("chi1")]),
+    st.builds(lambda name, a: Atom(name, (a,)),
+              st.sampled_from(["convex", "chik", "koch", "dc"]),
+              st.integers(0, 10 ** 6)),
+    st.builds(lambda path, root: Atom("load", (path,) if root is None
+                                      else (path, root)),
+              st.text(st.characters(blacklist_characters='"'), max_size=12),
+              st.none() | st.integers(0, 99)),
+)
+_trees = st.recursive(_atoms, lambda kids: st.one_of(
+    st.builds(Join, kids, kids), st.builds(Meet, kids, kids),
+    st.builds(Twist, kids), st.builds(Flip, kids)), max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+@example(parse_expr("join(triangle, triangle)"))
+@example(parse_expr("(koch(2) v koch(2)) ^ (koch(2) v koch(2))"))
+@example(parse_expr("twist(flip(meet(convex(5), chik(2))))"))
+@example(parse_expr('load("x.pts", 0)'))
+@example(parse_expr("join(triangle, triangle, chi1)"))
+def test_print_roundtrip(tree):
+    assert parse_expr(print_expr(tree)) == tree
 
 
 def test_infix_matches_calls():
@@ -178,6 +193,39 @@ def test_order_types_roundtrip_16bit(tmp_path):
     assert serialize_order_types(records) == data
 
 
+@st.composite
+def _order_type_records(draw):
+    width = draw(st.sampled_from((8, 16)))
+    n = draw(st.integers(3, 8))
+    coord = st.integers(0, 2 ** width - 1)
+    recs = draw(st.lists(st.lists(st.tuples(coord, coord), min_size=n,
+                                  max_size=n), min_size=1, max_size=4))
+    return width, [OrderTypeRecord(i, n, tuple(r)) for i, r in enumerate(recs)]
+
+
+def _in_general_position(rec) -> bool:
+    try:
+        rec.point_set().validate_general_position()
+    except GeneralPositionViolation:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_order_type_records())
+def test_order_types_roundtrip_random(width_recs):
+    width, recs = width_recs
+    data = serialize_order_types(recs, width)
+    n = recs[0].n
+    assert len(data) == len(recs) * n * 2 * (width // 8)
+    skipped = []
+    back = list(iter_order_types(data, n, width, lenient=True, skipped=skipped))
+    assert back == [r for r in recs if _in_general_position(r)]
+    assert skipped == [r.index for r in recs if not _in_general_position(r)]
+    if not skipped:
+        assert serialize_order_types(back, width) == data
+
+
 # -- search harness -------------------------------------------------------------
 
 
@@ -196,23 +244,12 @@ def test_search_single_record():
     pts = ((0, 0), (40, 3), (23, 30), (17, 12))
     data = _pack8([pts])
     records = list(iter_order_types(data, 4, 8))
-    rows, notes = koch_variant_search(records, levels=4, metric="weak")
+    rows = koch_variant_search(records, levels=4, metric="weak")
     chi = chirotope_from_points(records[0].point_set())
     assert len(rows) == len(chi.extreme_elements())
-    assert not notes
     assert all(r.record == 0 for r in rows)
     scores = [r.score for r in rows]
     assert scores == sorted(scores, reverse=True)
-
-
-def test_search_skips_non_extreme_roots():
-    pts = ((0, 0), (40, 3), (23, 30), (17, 12))
-    records = list(iter_order_types(_pack8([pts]), 4, 8))
-    chi = chirotope_from_points(records[0].point_set())
-    interior = next(x for x in range(4) if x not in chi.extreme_elements())
-    rows, notes = koch_variant_search(records, levels=4, roots=[0, interior])
-    assert len(rows) == 1 and len(notes) == 1
-    assert "not extreme" in notes[0]
 
 
 def test_rank_determinism_across_input_order():
@@ -314,6 +351,17 @@ def test_cli_exit_codes(capsys):
     assert run_cli(["no-such-command"]) == 2
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_cli_generator_argument_out_of_range(capsys):
+    # both evaluation modes reject what the generator rejects
+    for src in ("chik(0)", "convex(2)", "convex(0)"):
+        for argv in (["count", "--method", "poly", src],
+                     ["count", "--method", "brute", src],
+                     ["poly", src], ["poly", src, "--which", "Q"]):
+            assert run_cli(argv) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: "), argv
 
 
 def test_cli_output_determinism(capsys):
