@@ -16,12 +16,12 @@ from pathlib import Path
 
 import mpmath as mp
 
-from .doublecircle import (QkTable, asymptotic_report, df_series, f_closed,
-                           f_series, small_roots)
+from .doublecircle import (DEFAULT_DPS, QkTable, asymptotic_report,
+                           df_series, f_closed, f_series, small_roots)
 from .errors import ChirotriError, OutOfRange, WriteFailed
 from .expr import (Atom, EvalMode, eval_expr, load_chirotope, load_rooted,
                    parse_expr)
-from .oracle import count_triangulations
+from .oracle import DEFAULT_ORACLE_CAP, count_triangulations
 from .orderdb import read_order_types
 from .polynomials import q_from_p
 from .search import koch_variant_search
@@ -133,6 +133,8 @@ def _cmd_kernel_report(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.top < 0:
+        raise OutOfRange("--top must be at least 0")
     records, skipped = read_order_types(args.db, args.n, args.width,
                                         lenient=args.lenient)
     for idx in skipped:
@@ -150,9 +152,9 @@ def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="chirotri",
         description="exact chirotope composition and triangulation counting")
-    ap.add_argument("--precision", type=int, default=50,
+    ap.add_argument("--precision", type=int, default=DEFAULT_DPS,
                     help="significant digits for numeric analytics")
-    ap.add_argument("--oracle-cap", type=int, default=12,
+    ap.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
                     help="element cap for brute-force enumeration")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -46,15 +46,35 @@ def _cached_hash(self):
     return self._hash
 
 
+def _spine_eq(self, other):
+    """Field-wise equality that loops down Join/Meet left children."""
+    if type(other) is not type(self):
+        return NotImplemented
+    a, b = self, other
+    while a is not b:
+        if type(a) is not type(b) or a._hash != b._hash:
+            return False
+        if not isinstance(a, (Join, Meet)):
+            return all(getattr(a, f.name) == getattr(b, f.name)
+                       for f in fields(a))
+        if a.right != b.right:
+            return False
+        a, b = a.left, b.left
+    return True
+
+
 def _node(cls):
     """Frozen dataclass that hashes its subtree once, when it is built.
 
     The evaluation memo hashes every node it visits; a generated dataclass
     hash would recurse through the whole subtree each time, which is O(k^2)
-    over a left-nested chain of k joins. Equality is the dataclass's own.
+    over a left-nested chain of k joins. For the same reason equality loops
+    down left children: the generated one recurses, and two equal chains of
+    a thousand joins would exceed the recursion limit.
     """
     cls.__post_init__ = _hash_once
     cls.__hash__ = _cached_hash
+    cls.__eq__ = _spine_eq
     return dataclass(frozen=True)(cls)
 
 
@@ -274,7 +294,12 @@ class _Parser:
 
 def parse_expr(src: str):
     p = _Parser(_tokenize(src))
-    node = p.expr()
+    try:
+        node = p.expr()
+    except RecursionError:
+        t = p.peek()
+        raise ExprSyntaxError("expression nested too deeply", t.line,
+                              t.col) from None
     t = p.peek()
     if t.kind != "EOF":
         raise ExprSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
@@ -346,6 +371,19 @@ def _materialize_atom(e: Atom) -> RootedChirotope:
     return load_rooted(args[0], args[1] if len(args) == 2 else None)
 
 
+def _generated_size(e: Atom) -> int | None:
+    """Element count a convex or chik atom will build, known before building.
+
+    None for other atoms and for arguments outside the generator's domain,
+    where ``compose`` raises its own typed error.
+    """
+    if e.name == "convex" and e.args[0] >= 3:
+        return e.args[0]
+    if e.name == "chik" and e.args[0] >= 1:
+        return 2 * e.args[0] + 2
+    return None
+
+
 def _expand_for_polynomials(e: Atom):
     """Rewrite a recursive generator atom into a shared tree of small leaves.
 
@@ -383,53 +421,72 @@ def eval_expr(e, mode: EvalMode = EvalMode.MATERIALIZE,
     raise OutOfRange(f"unknown mode {mode!r}")
 
 
-def _eval_mat(e, cap, memo) -> RootedChirotope:
-    got = memo.get(e)
-    if got is not None:
-        return got
-    if isinstance(e, Atom):
-        rc = _materialize_atom(e)
-    elif isinstance(e, Join):
-        rc = compose.join(_eval_mat(e.left, cap, memo),
-                          _eval_mat(e.right, cap, memo))[0]
-    elif isinstance(e, Meet):
-        rc = compose.meet(_eval_mat(e.left, cap, memo),
-                          _eval_mat(e.right, cap, memo))[0]
-    elif isinstance(e, Twist):
-        rc = compose.twist(_eval_mat(e.inner, cap, memo))
-    elif isinstance(e, Flip):
-        inner = _eval_mat(e.inner, cap, memo)
-        rc = RootedChirotope(inner.chi.flipped(), inner.root)
-    else:
-        raise OutOfRange(f"not an expression node: {e!r}")
-    if rc.chi.n > cap:
+def _left_spine(e, memo):
+    """Walk down Join/Meet left children to a memo hit or another node.
+
+    Returns the merge nodes passed (top first), the node where the walk
+    stopped, and its memoized value or None. A chain of k infix merges nests
+    k deep on the left, so the evaluators loop over this spine bottom-up
+    instead of recursing down it; the order of evaluation is the same.
+    """
+    spine = []
+    while (got := memo.get(e)) is None and isinstance(e, (Join, Meet)):
+        spine.append(e)
+        e = e.left
+    return spine, e, got
+
+
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
         raise TooLarge(
-            f"materialized result has {rc.chi.n} elements, above the oracle "
+            f"materialized result has {n} elements, above the oracle "
             f"cap {cap}; use the polynomial mode")
-    memo[e] = rc
+
+
+def _eval_mat(e, cap, memo) -> RootedChirotope:
+    spine, e, rc = _left_spine(e, memo)
+    if rc is None:
+        if isinstance(e, Atom):
+            size = _generated_size(e)
+            if size is not None:
+                _check_cap(size, cap)
+            rc = _materialize_atom(e)
+        elif isinstance(e, Twist):
+            rc = compose.twist(_eval_mat(e.inner, cap, memo))
+        elif isinstance(e, Flip):
+            inner = _eval_mat(e.inner, cap, memo)
+            rc = RootedChirotope(inner.chi.flipped(), inner.root)
+        else:
+            raise OutOfRange(f"not an expression node: {e!r}")
+        _check_cap(rc.chi.n, cap)
+        memo[e] = rc
+    for node in reversed(spine):
+        merge = compose.join if isinstance(node, Join) else compose.meet
+        rc = merge(rc, _eval_mat(node.right, cap, memo))[0]
+        _check_cap(rc.chi.n, cap)
+        memo[node] = rc
     return rc
 
 
 def _eval_poly(e, cap, memo) -> BivarPoly:
-    got = memo.get(e)
-    if got is not None:
-        return got
-    if isinstance(e, Atom):
-        expanded = _expand_for_polynomials(e)
-        if expanded is not None:
-            p = _eval_poly(expanded, cap, memo)
+    spine, e, p = _left_spine(e, memo)
+    if p is None:
+        if isinstance(e, Atom):
+            expanded = _expand_for_polynomials(e)
+            if expanded is not None:
+                p = _eval_poly(expanded, cap, memo)
+            else:
+                p = brute_P(_materialize_atom(e), cap=cap)
+        elif isinstance(e, Twist):
+            p = swap_vars(_eval_poly(e.inner, cap, memo))
+        elif isinstance(e, Flip):
+            # reversing every orientation leaves the crossing relation unchanged
+            p = _eval_poly(e.inner, cap, memo)
         else:
-            p = brute_P(_materialize_atom(e), cap=cap)
-    elif isinstance(e, Join):
-        p = join_P(_eval_poly(e.left, cap, memo), _eval_poly(e.right, cap, memo))
-    elif isinstance(e, Meet):
-        p = meet_P(_eval_poly(e.left, cap, memo), _eval_poly(e.right, cap, memo))
-    elif isinstance(e, Twist):
-        p = swap_vars(_eval_poly(e.inner, cap, memo))
-    elif isinstance(e, Flip):
-        # reversing every orientation leaves the crossing relation unchanged
-        p = _eval_poly(e.inner, cap, memo)
-    else:
-        raise OutOfRange(f"not an expression node: {e!r}")
-    memo[e] = p
+            raise OutOfRange(f"not an expression node: {e!r}")
+        memo[e] = p
+    for node in reversed(spine):
+        merge = join_P if isinstance(node, Join) else meet_P
+        p = merge(p, _eval_poly(node.right, cap, memo))
+        memo[node] = p
     return p

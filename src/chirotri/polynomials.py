@@ -129,9 +129,10 @@ class BivarPoly:
     """Bivariate polynomial in (u, v), integer coefficients, exponents >= 0.
 
     A polynomial built by ``_from_factors`` holds only its factors
-    (U(u), V(v)) until its coefficient dict ``_c`` is first read;
-    ``try_split``, ``q_from_p``, ``swap_vars``, ``is_zero``, ``min_u_exp``
-    and ``min_v_exp`` work on the factors alone.
+    (U(u), V(v)), at the scale its merge produced them, until its
+    coefficient dict ``_c`` is first read; ``try_split``, ``q_from_p``,
+    ``swap_vars``, ``is_zero``, ``min_u_exp`` and ``min_v_exp`` work on the
+    factors alone.
     """
 
     __slots__ = ("_coeffs", "_factors")
@@ -146,23 +147,12 @@ class BivarPoly:
 
     @classmethod
     def _from_factors(cls, u_part: UnivarPoly, v_part: UnivarPoly) -> "BivarPoly":
-        """u_part(u) * v_part(v), kept factored.
-
-        The factors are rescaled to exactly what ``try_split`` returns for
-        the expanded polynomial: V divided by the gcd of its coefficients,
-        with the sign of U's lowest term moved onto U.
-        """
+        """u_part(u) * v_part(v), kept factored as the two given factors."""
         if u_part.is_zero() or v_part.is_zero():
             return cls()
-        g = 0
-        for c in v_part._c.values():
-            g = gcd(g, c)
-        if u_part.coeff(u_part.min_exp) < 0:
-            g = -g
         p = cls.__new__(cls)
         p._coeffs = None
-        p._factors = (u_part * g,
-                      UnivarPoly({b: c // g for b, c in v_part._c.items()}))
+        p._factors = (u_part, v_part)
         return p
 
     @property
@@ -429,8 +419,10 @@ def count_weak_join(p1: BivarPoly, p2: BivarPoly, kind: str = "join") -> int:
 def try_split(p: BivarPoly):
     """Factor p as (polynomial in u) * (polynomial in v), if possible.
 
-    Returns (U, V) with U primitive-scaled so the product is exact, or None
-    when the coefficient matrix has rank above one. Chains always split.
+    Returns factors (U, V) whose outer product is p, or None when the
+    coefficient matrix has rank above one. Chains always split. A factored
+    polynomial returns the factors it holds; an expanded one is factored
+    with V divided by the gcd of its lowest-u row, so U comes out exact.
     """
     if p.is_zero():
         return None

@@ -35,7 +35,8 @@ def seed_score(rc: RootedChirotope, levels: int, metric: str = "weak",
 
     metric="weak" counts weak triangulations of the final level (marginal
     trick); metric="count" counts true triangulations and needs the final
-    polynomial in full.
+    polynomial in full. cap is the oracle's element cap for the seed;
+    None means the oracle default.
     """
     if levels < SEED_LEVEL + 1 or levels > 8:
         raise OutOfRange(
@@ -44,7 +45,7 @@ def seed_score(rc: RootedChirotope, levels: int, metric: str = "weak",
             f"9-point seed")
     if metric not in ("weak", "count"):
         raise OutOfRange(f"metric must be 'weak' or 'count', got {metric!r}")
-    p = brute_P(rc, cap=max(rc.chi.n, 12) if cap is None else cap)
+    p = brute_P(rc, cap=cap)
     for level in range(SEED_LEVEL + 1, levels):
         p = join_P(p, p) if level % 2 == 1 else meet_P(p, p)
     final_kind = "join" if levels % 2 == 1 else "meet"

@@ -4,12 +4,15 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from chirotri import (OutOfRange, PointSet, RootedChirotope, TooLarge,
-                      TooSmall, UnivarPoly, brute_P, brute_Q, chi1, chi_k,
-                      chirotope_from_points, convex, count_triangulations,
-                      double_circle, double_circle_points, join, koch, meet,
-                      swap_vars, twist)
+from chirotri import (GeneralPositionViolation, OutOfRange, PointSet,
+                      RootedChirotope, TooLarge, TooSmall, UnivarPoly,
+                      brute_P, brute_Q, chi1, chi_k, chirotope_from_points,
+                      convex, count_triangulations, double_circle,
+                      double_circle_points, join, koch, meet, swap_vars,
+                      twist)
 
 from helpers import catalan, random_rooted
 
@@ -28,16 +31,29 @@ def test_join_of_triangles_is_convex_quadrilateral():
     assert fixture == j.chi
 
 
-def test_join_size_law_random():
-    rng = random.Random(41)
-    for _ in range(50):
-        rc1 = random_rooted(rng.randrange(4, 8), rng)
-        rc2 = random_rooted(rng.randrange(4, 8), rng)
-        j, _ = join(rc1, rc2)
-        assert j.chi.n == rc1.chi.n + rc2.chi.n - 2
-        m, _ = meet(rc1, rc2)
-        assert m.chi.n == j.chi.n
-        assert twist(rc1).chi.n == rc1.chi.n
+@st.composite
+def _realizable_rooted(draw):
+    """A rooted chirotope of 4 to 7 grid points in general position."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)),
+                        min_size=4, max_size=7, unique=True))
+    ps = PointSet(pts)
+    try:
+        ps.validate_general_position()
+    except GeneralPositionViolation:
+        assume(False)
+    chi = chirotope_from_points(ps)
+    root = draw(st.sampled_from(sorted(chi.extreme_elements())))
+    return RootedChirotope(chi, root)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_realizable_rooted(), _realizable_rooted())
+def test_join_size_law_random(rc1, rc2):
+    j, _ = join(rc1, rc2)
+    assert j.chi.n == rc1.chi.n + rc2.chi.n - 2
+    m, _ = meet(rc1, rc2)
+    assert m.chi.n == j.chi.n
+    assert twist(rc1).chi.n == rc1.chi.n
 
 
 def test_join_label_map_covers_and_merges():

@@ -15,12 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirotri import (EvalMode, ExprSyntaxError, GeneralPositionViolation,
-                      MalformedFile, OrderTypeRecord, RootedChirotope, TooLarge, brute_Q, chi1,
+                      MalformedFile, OracleTooLarge, OrderTypeRecord,
+                      RootedChirotope, TooLarge, brute_Q, chi1,
                       chirotope_from_points, convex, count_triangulations,
                       eval_expr, iter_order_types, koch_variant_search, meet,
                       meet_P, parse_expr, print_expr, q_from_p,
                       rank_candidates, read_order_types, seed_score,
                       serialize_order_types, write_chi)
+from chirotri import compose
 from chirotri.cli import run_cli
 from chirotri.expr import Atom, Flip, Join, Meet, Twist
 from chirotri.oracle import brute_P
@@ -125,6 +127,16 @@ def test_materialize_cap_handoff():
     # polynomial mode reaches the same expression fine
     p = eval_expr(parse_expr("koch(4)"), EvalMode.POLYNOMIAL)
     assert p(1, 1) > 0
+
+
+def test_materialize_checks_generator_size_before_building(monkeypatch):
+    def never(*args):
+        raise AssertionError("generator built above the cap")
+    monkeypatch.setattr(compose, "convex", never)
+    monkeypatch.setattr(compose, "chi_k", never)
+    for src, n in (("convex(100000)", 100000), ("chik(100000)", 200002)):
+        with pytest.raises(TooLarge, match=f"has {n} elements"):
+            eval_expr(parse_expr(src), EvalMode.MATERIALIZE)
 
 
 def test_polynomial_mode_expands_generators():
@@ -240,6 +252,11 @@ def test_seed_score_count_metric_matches_oracle():
         meet_P(brute_P(seed), brute_P(seed))(1, 1)
 
 
+def test_seed_score_default_cap_is_the_oracle_cap():
+    with pytest.raises(OracleTooLarge):
+        seed_score(convex(13), levels=4)
+
+
 def test_search_single_record():
     pts = ((0, 0), (40, 3), (23, 30), (17, 12))
     data = _pack8([pts])
@@ -344,6 +361,15 @@ def test_cli_search(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "record,root,score"
     assert len(lines) == 3
+
+
+def test_cli_search_rejects_negative_top(tmp_path, capsys):
+    path = tmp_path / "db.bin"
+    path.write_bytes(_pack8([((0, 0), (40, 3), (23, 30), (17, 12))]))
+    assert run_cli(["search", "--db", str(path), "--n", "4", "--width", "8",
+                    "--levels", "4", "--top", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --top must be at least 0\n"
 
 
 def test_cli_exit_codes(capsys):
@@ -470,6 +496,27 @@ def test_deep_chain_hashes_without_recursion():
         node = Join(node, Atom("triangle"))
     assert {node: 1}[node] == 1
     assert hash(Join(Atom("chi1"), Atom("chi1"))) == hash(parse_expr("chi1 v chi1"))
+
+
+def test_deep_left_chains_evaluate_without_recursion():
+    p = eval_expr(parse_expr("convex(1100)"), EvalMode.POLYNOMIAL)
+    assert q_from_p(p)(1) == catalan(1098)
+    chain = " v ".join(["triangle"] * 1100)
+    p = eval_expr(parse_expr(chain), EvalMode.POLYNOMIAL)
+    assert q_from_p(p)(1) == catalan(1100)
+    assert parse_expr(chain) == parse_expr(chain)
+    assert parse_expr(chain) != parse_expr("chi1" + chain[len("triangle"):])
+    with pytest.raises(TooLarge):
+        eval_expr(parse_expr(chain), EvalMode.MATERIALIZE)
+
+
+def test_nesting_too_deep_to_parse_is_a_syntax_error(capsys):
+    src = "twist(" * 1200 + "triangle" + ")" * 1200
+    with pytest.raises(ExprSyntaxError):
+        parse_expr(src)
+    assert run_cli(["count", "--method", "poly", src]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: expression nested too deeply")
 
 
 @pytest.mark.parametrize("expr, count, p_digest, q_digest", [
