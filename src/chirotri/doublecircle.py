@@ -4,7 +4,9 @@ The chirotopes obtained by repeatedly joining the one-interior-point
 configuration onto itself carry triangulation polynomials Q_1, Q_2, ... whose
 recursion only involves the recombination polynomials N(d, 3). The number of
 triangulations of the double circle with k outer points is
-Q_{k-1}(1) - [u^2] Q_{k-1}.
+Q_{k-1}(1) - [u^2] Q_{k-1}. ``QkTable`` holds one row at a time and keeps
+three lists: each row's value at u = 1, u^2 coefficient and derivative at
+u = 1.
 
 The generating function F(z, u) = sum_k Q_k(u) z^k satisfies
 
@@ -122,36 +124,54 @@ def qk_step_closedform(q: UnivarPoly) -> UnivarPoly:
     return _sparse(dense)
 
 
+def _rows(kmax: int):
+    """Yield (Q_k as a dense list, Q_k(1), Q_k'(1)) for k = 1 .. kmax.
+
+    Each row comes from the one before it through ``_step``, which also
+    gives that row's value and derivative at u = 1; only the last row sums
+    itself. The generator holds one row at a time.
+    """
+    row = [0, 0, 0, 1]
+    for _ in range(kmax - 1):
+        nxt, total, deriv = _step(row)
+        yield row, total, deriv
+        row = nxt
+    yield row, sum(row), sum(map(mul, range(len(row)), row))
+
+
 class QkTable:
-    """Q_1 .. Q_kmax as dense coefficient lists, with their totals, u^2
-    coefficients and derivatives at u = 1."""
+    """Totals, derivatives at u = 1 and u^2 coefficients of Q_1 .. Q_kmax.
+
+    The table steps through the rows and keeps only these three lists of
+    kmax ints, O(kmax^2) bits in all; a row itself is O(kmax^2) bits, so
+    keeping every row would cost O(kmax^3). ``q(k)`` rebuilds Q_k from Q_1,
+    which costs k - 1 steps.
+    """
 
     def __init__(self, kmax: int):
         if kmax < 1:
             raise OutOfRange(f"need kmax >= 1, got {kmax}")
         self.kmax = kmax
-        self.rows = [[0, 0, 0, 1]]
         self.totals = []
         self.derivs = []
-        for _ in range(kmax - 1):
-            nxt, total, deriv = _step(self.rows[-1])
-            self.rows.append(nxt)
+        self.coeffs2 = []
+        for row, total, deriv in _rows(kmax):
             self.totals.append(total)
             self.derivs.append(deriv)
-        last = self.rows[-1]
-        self.totals.append(sum(last))
-        self.derivs.append(sum(map(mul, range(len(last)), last)))
+            self.coeffs2.append(row[2])
 
     def q(self, k: int) -> UnivarPoly:
         if not 1 <= k <= self.kmax:
             raise OutOfRange(f"k={k} outside 1..{self.kmax}")
-        return _sparse(self.rows[k - 1])
+        for row, _, _ in _rows(k):
+            pass
+        return _sparse(row)
 
     def total(self, k: int) -> int:
         return self.totals[k - 1]
 
     def coeff2(self, k: int) -> int:
-        return self.rows[k - 1][2]
+        return self.coeffs2[k - 1]
 
     def deriv(self, k: int) -> int:
         return self.derivs[k - 1]
@@ -323,7 +343,8 @@ def functional_equation_residual(x, u, terms: int = 80,
     with _workdps(dps):
         xm = _to_mpf(x)
         um = _to_mpf(u)
-        fu = _series(lambda k: table.q(k)(um), terms, xm)
+        qu = [_sparse(row)(um) for row, _, _ in _rows(terms)]
+        fu = _series(lambda k: qu[k - 1], terms, xm)
         f1 = f_series(xm, terms, table, dps=dps)
         df1 = df_series(xm, terms, table, dps=dps)
         lhs = fu * kernel(xm, um)
@@ -361,14 +382,15 @@ def asymptotic_report(ks, table: QkTable | None = None,
                       dps: int | None = None) -> list[AsymptoticRow]:
     """Exact counts against the estimate constant * 12^(k-2) * k^(-3/2)."""
     ks = sorted(ks)
-    if any(k < 3 for k in ks):
-        raise OutOfRange("report needs k >= 3")
-    table = _table(table, max(ks) - 1)
+    if not ks or ks[0] < 3:
+        raise OutOfRange("report needs at least one k, each k >= 3")
+    table = _table(table, ks[-1] - 1)
     cs = constants(dps=dps)
     rows = []
     with _workdps(dps):
+        twelve, power = mp.mpf(12), mp.mpf("-1.5")
         for k in ks:
             exact = dc_count(k, table)
-            est = cs.theorem_constant * mp.mpf(12) ** (k - 2) * mp.mpf(k) ** mp.mpf("-1.5")
+            est = cs.theorem_constant * twelve ** (k - 2) * mp.mpf(k) ** power
             rows.append(AsymptoticRow(k, exact, est, exact / est))
     return rows

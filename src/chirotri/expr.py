@@ -307,17 +307,28 @@ def parse_expr(src: str):
 
 
 def print_expr(e) -> str:
-    """Canonical text form; reparsing reproduces the identical tree."""
+    """Canonical text form; reparsing reproduces the identical tree.
+
+    A left spine of one operator prints as one flat call, ``join(a, b, c)``
+    for Join(Join(a, b), c), which the grammar folds back to the left; the
+    spine is walked with a loop, so a long infix chain neither recurses
+    deeply here nor nests deeply in the text.
+    """
     if isinstance(e, Atom):
         if not e.args:
             return e.name
         rendered = ", ".join(f'"{a}"' if isinstance(a, str) else str(a)
                              for a in e.args)
         return f"{e.name}({rendered})"
-    if isinstance(e, Join):
-        return f"join({print_expr(e.left)}, {print_expr(e.right)})"
-    if isinstance(e, Meet):
-        return f"meet({print_expr(e.left)}, {print_expr(e.right)})"
+    if isinstance(e, (Join, Meet)):
+        op = type(e)
+        operands = []
+        while type(e) is op:
+            operands.append(e.right)
+            e = e.left
+        operands.append(e)
+        rendered = ", ".join(map(print_expr, reversed(operands)))
+        return f"{'join' if op is Join else 'meet'}({rendered})"
     if isinstance(e, Twist):
         return f"twist({print_expr(e.inner)})"
     return f"flip({print_expr(e.inner)})"

@@ -90,6 +90,18 @@ def test_print_roundtrip(tree):
     assert parse_expr(print_expr(tree)) == tree
 
 
+def test_long_chains_print_flat_and_reparse():
+    assert print_expr(parse_expr("triangle v chi1")) == "join(triangle, chi1)"
+    assert (print_expr(parse_expr("(triangle ^ chi1 ^ chi1) v chi1"))
+            == "join(meet(triangle, chi1, chi1), chi1)")
+    for op in ("v", "^"):
+        tree = parse_expr(f" {op} ".join(["triangle"] * 1100))
+        text = print_expr(tree)
+        name = "join" if op == "v" else "meet"
+        assert text == f"{name}({', '.join(['triangle'] * 1100)})"
+        assert parse_expr(text) == tree
+
+
 def test_infix_matches_calls():
     assert parse_expr("triangle v triangle") == parse_expr("join(triangle, triangle)")
     assert parse_expr("triangle ^ triangle") == parse_expr("meet(triangle, triangle)")
