@@ -24,7 +24,7 @@ from .expr import (Atom, EvalMode, eval_expr, load_chirotope, load_rooted,
 from .oracle import DEFAULT_ORACLE_CAP, count_triangulations
 from .orderdb import read_order_types
 from .polynomials import q_from_p
-from .search import koch_variant_search
+from .search import check_pipeline, koch_variant_search
 
 
 def _is_file(arg: str) -> bool:
@@ -135,6 +135,7 @@ def _cmd_kernel_report(args) -> int:
 def _cmd_search(args) -> int:
     if args.top < 0:
         raise OutOfRange("--top must be at least 0")
+    check_pipeline(args.levels, args.metric)  # also when no record is scored
     records, skipped = read_order_types(args.db, args.n, args.width,
                                         lenient=args.lenient)
     for idx in skipped:

@@ -12,16 +12,22 @@ level and may not be mixed without parentheses. Atom builtins: ``triangle``,
 ``convex(n)``, ``chi1``, ``chik(k)``, ``koch(i)``, ``dc(k)``,
 ``load("path"[, root])``.
 
-Evaluation either materializes the rooted chirotope (refusing results beyond
-the oracle cap) or propagates weak-triangulation polynomials without ever
-materializing a large chirotope. In polynomial mode the recursive generators
-expand into shared subtrees of triangle leaves, so any level is reachable.
+One table, ``_ATOMS``, says what each builtin atom is: its arity, its
+builder, the element count it will build and, for the generators, its
+rewrite into merges of small leaves. One tree walk evaluates an expression
+under one of two operation tables keyed by node type. The materializing
+table builds the rooted chirotope with ``compose`` and refuses any result
+beyond the oracle cap, and any generator that would build one. The
+polynomial table propagates weak-triangulation polynomials without ever
+materializing a large chirotope: a generator atom is rewritten into shared
+subtrees of triangle or chi1 leaves, so any level is reachable.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
+from functools import reduce
 from pathlib import Path
 
 from . import compose
@@ -104,19 +110,6 @@ class Twist:
 @_node
 class Flip:
     inner: object
-
-
-Expr = (Atom, Join, Meet, Twist, Flip)
-
-_BUILTIN_ARITIES = {
-    "triangle": (0, 0),
-    "chi1": (0, 0),
-    "convex": (1, 1),
-    "chik": (1, 1),
-    "koch": (1, 1),
-    "dc": (1, 1),
-    "load": (1, 2),
-}
 
 
 # -- tokenizer / parser -------------------------------------------------------
@@ -251,9 +244,9 @@ class _Parser:
             for rhs in args[1:]:
                 node = Join(node, rhs) if name == "join" else Meet(node, rhs)
             return node
-        if name not in _BUILTIN_ARITIES:
+        if name not in _ATOMS:
             raise ExprSyntaxError(f"unknown identifier {name!r}", t.line, t.col)
-        lo, hi = _BUILTIN_ARITIES[name]
+        lo, hi = _ATOMS[name][:2]
         args = ()
         if self.peek().kind == "(":
             self.next()
@@ -365,139 +358,122 @@ def load_rooted(path: str, root: int | None = None) -> RootedChirotope:
     return RootedChirotope(chi, root)
 
 
-def _materialize_atom(e: Atom) -> RootedChirotope:
-    name, args = e.name, e.args
-    if name == "triangle":
-        return compose.triangle()
-    if name == "chi1":
-        return compose.chi1()
-    if name == "convex":
-        return compose.convex(args[0])
-    if name == "chik":
-        return compose.chi_k(args[0])
-    if name == "koch":
-        return compose.koch(args[0])
-    if name == "dc":
-        return compose.double_circle(args[0])
-    return load_rooted(args[0], args[1] if len(args) == 2 else None)
 
 
-def _generated_size(e: Atom) -> int | None:
-    """Element count a convex or chik atom will build, known before building.
-
-    None for other atoms and for arguments outside the generator's domain,
-    where ``compose`` raises its own typed error.
-    """
-    if e.name == "convex" and e.args[0] >= 3:
-        return e.args[0]
-    if e.name == "chik" and e.args[0] >= 1:
-        return 2 * e.args[0] + 2
-    return None
+def _join_chain(leaf: str, count: int):
+    """Left-nested join of ``count`` copies of the atom ``leaf``."""
+    return reduce(Join, [Atom(leaf)] * count)
 
 
-def _expand_for_polynomials(e: Atom):
-    """Rewrite a recursive generator atom into a shared tree of small leaves.
+def _koch_tree(level: int):
+    """koch(level) as alternate self-joins and self-meets of one triangle."""
+    node = Atom("triangle")
+    for i in range(1, level + 1):
+        node = Join(node, node) if i % 2 == 1 else Meet(node, node)
+    return node
 
-    convex(n) is the join of n - 2 triangles. An argument outside the
-    generator's domain is not expanded: the atom is materialized, and
-    ``compose`` raises its typed error.
-    """
-    if e.name == "koch":
-        node = Atom("triangle")
-        for level in range(1, e.args[0] + 1):
-            node = Join(node, node) if level % 2 == 1 else Meet(node, node)
-        return node
-    if e.name == "chik" and e.args[0] >= 1:
-        node = Atom("chi1")
-        for _ in range(e.args[0] - 1):
-            node = Join(node, Atom("chi1"))
-        return node
-    if e.name == "convex" and e.args[0] >= 3:
-        node = Atom("triangle")
-        for _ in range(e.args[0] - 3):
-            node = Join(node, Atom("triangle"))
-        return node
-    return None
+
+# name -> (fewest args, most args, builder, element count, polynomial rewrite).
+# The builder is named, not stored: a function of ``compose``, or
+# ``load_rooted`` of this module, looked up at each call, so that rebinding
+# it takes effect. The element count and the rewrite take the atom's
+# arguments and give None outside the generator's domain, where the builder
+# raises its own typed error.
+_ATOMS = {
+    "triangle": (0, 0, "triangle", None, None),
+    "chi1": (0, 0, "chi1", None, None),
+    "convex": (1, 1, "convex", lambda n: n if n >= 3 else None,
+               lambda n: _join_chain("triangle", n - 2) if n >= 3 else None),
+    "chik": (1, 1, "chi_k", lambda k: 2 * k + 2 if k >= 1 else None,
+             lambda k: _join_chain("chi1", k) if k >= 1 else None),
+    "koch": (1, 1, "koch", lambda i: 2 ** i + 2 if i >= 0 else None,
+             lambda i: _koch_tree(i) if i >= 0 else None),
+    "dc": (1, 1, "double_circle", None, None),
+    "load": (1, 2, "load_rooted", None, None),
+}
+
+
+def _build(e: Atom) -> RootedChirotope:
+    name = _ATOMS[e.name][2]
+    build = load_rooted if name == "load_rooted" else getattr(compose, name)
+    return build(*e.args)
+
+
+def _materialize_ops(cap: int) -> dict:
+    """Node type -> compose operation; every result above ``cap`` elements,
+    and every generator that would build one, is refused."""
+    def fit(n):
+        if n is not None and n > cap:
+            raise TooLarge(
+                f"materialized result has {n} elements, above the oracle "
+                f"cap {cap}; use the polynomial mode")
+
+    def capped(rc):
+        fit(rc.chi.n)
+        return rc
+
+    def atom(e, memo):
+        size = _ATOMS[e.name][3]
+        fit(size and size(*e.args))
+        return capped(_build(e))
+
+    return {Atom: atom,
+            Join: lambda a, b: capped(compose.join(a, b)[0]),
+            Meet: lambda a, b: capped(compose.meet(a, b)[0]),
+            Twist: lambda rc: capped(compose.twist(rc)),
+            Flip: lambda rc: capped(RootedChirotope(rc.chi.flipped(), rc.root))}
+
+
+def _polynomial_ops(cap: int) -> dict:
+    """Node type -> weak-triangulation polynomial operation. A generator
+    atom is rewritten into merges of small leaves; any other atom is built
+    and enumerated by the oracle under ``cap``."""
+    def atom(e, memo):
+        rewrite = _ATOMS[e.name][4]
+        tree = rewrite and rewrite(*e.args)
+        if tree is None:
+            return brute_P(_build(e), cap=cap)
+        return _eval(tree, ops, memo)
+
+    # a flip reverses every orientation, which leaves crossings unchanged
+    ops = {Atom: atom, Join: join_P, Meet: meet_P, Twist: swap_vars,
+           Flip: lambda p: p}
+    return ops
 
 
 def eval_expr(e, mode: EvalMode = EvalMode.MATERIALIZE,
               oracle_cap: int | None = None):
-    """Evaluate an expression tree; see EvalMode for the two strategies."""
+    """Evaluate an expression tree; see EvalMode for the two strategies.
+
+    The operation table is built at each call, so a function rebound since
+    import (by a test or a tracer) takes effect.
+    """
     cap = DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
-    memo: dict = {}
-    if mode == EvalMode.MATERIALIZE:
-        return _eval_mat(e, cap, memo)
-    if mode == EvalMode.POLYNOMIAL:
-        return _eval_poly(e, cap, memo)
-    raise OutOfRange(f"unknown mode {mode!r}")
+    make_ops = {EvalMode.MATERIALIZE: _materialize_ops,
+                EvalMode.POLYNOMIAL: _polynomial_ops}.get(mode)
+    if make_ops is None:
+        raise OutOfRange(f"unknown mode {mode!r}")
+    return _eval(e, make_ops(cap), {})
 
 
-def _left_spine(e, memo):
-    """Walk down Join/Meet left children to a memo hit or another node.
+def _eval(e, ops: dict, memo: dict):
+    """Value of ``e`` under ``ops``, each distinct node computed once.
 
-    Returns the merge nodes passed (top first), the node where the walk
-    stopped, and its memoized value or None. A chain of k infix merges nests
-    k deep on the left, so the evaluators loop over this spine bottom-up
-    instead of recursing down it; the order of evaluation is the same.
+    A chain of k infix merges nests k deep on the left, so the walk loops
+    down Join/Meet left children to a memo hit or another node, then merges
+    back up the spine; only right and Twist/Flip operands recurse.
     """
     spine = []
-    while (got := memo.get(e)) is None and isinstance(e, (Join, Meet)):
+    while (value := memo.get(e)) is None and isinstance(e, (Join, Meet)):
         spine.append(e)
         e = e.left
-    return spine, e, got
-
-
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise TooLarge(
-            f"materialized result has {n} elements, above the oracle "
-            f"cap {cap}; use the polynomial mode")
-
-
-def _eval_mat(e, cap, memo) -> RootedChirotope:
-    spine, e, rc = _left_spine(e, memo)
-    if rc is None:
-        if isinstance(e, Atom):
-            size = _generated_size(e)
-            if size is not None:
-                _check_cap(size, cap)
-            rc = _materialize_atom(e)
-        elif isinstance(e, Twist):
-            rc = compose.twist(_eval_mat(e.inner, cap, memo))
-        elif isinstance(e, Flip):
-            inner = _eval_mat(e.inner, cap, memo)
-            rc = RootedChirotope(inner.chi.flipped(), inner.root)
-        else:
+    if value is None:
+        op = ops.get(type(e))
+        if op is None:
             raise OutOfRange(f"not an expression node: {e!r}")
-        _check_cap(rc.chi.n, cap)
-        memo[e] = rc
+        value = op(e, memo) if type(e) is Atom else op(_eval(e.inner, ops, memo))
+        memo[e] = value
     for node in reversed(spine):
-        merge = compose.join if isinstance(node, Join) else compose.meet
-        rc = merge(rc, _eval_mat(node.right, cap, memo))[0]
-        _check_cap(rc.chi.n, cap)
-        memo[node] = rc
-    return rc
-
-
-def _eval_poly(e, cap, memo) -> BivarPoly:
-    spine, e, p = _left_spine(e, memo)
-    if p is None:
-        if isinstance(e, Atom):
-            expanded = _expand_for_polynomials(e)
-            if expanded is not None:
-                p = _eval_poly(expanded, cap, memo)
-            else:
-                p = brute_P(_materialize_atom(e), cap=cap)
-        elif isinstance(e, Twist):
-            p = swap_vars(_eval_poly(e.inner, cap, memo))
-        elif isinstance(e, Flip):
-            # reversing every orientation leaves the crossing relation unchanged
-            p = _eval_poly(e.inner, cap, memo)
-        else:
-            raise OutOfRange(f"not an expression node: {e!r}")
-        memo[e] = p
-    for node in reversed(spine):
-        merge = join_P if isinstance(node, Join) else meet_P
-        p = merge(p, _eval_poly(node.right, cap, memo))
-        memo[node] = p
-    return p
+        value = ops[type(node)](value, _eval(node.right, ops, memo))
+        memo[node] = value
+    return value

@@ -407,13 +407,11 @@ def count_weak_join(p1: BivarPoly, p2: BivarPoly, kind: str = "join") -> int:
         raise EmptyInput("zero operand polynomial")
     if min(s1) < 2 or min(s2) < 2:
         raise OutOfRange("operand polynomials need minimum u-exponent >= 2")
+    # the full merge at (1, 1) sums a[d1] b[d2] N(d1, d2)(1), and _merge_core
+    # of the marginals spreads that same sum over the root degrees
     a = {d: sum(vs.values()) for d, vs in s1.items()}
     b = {d: sum(vs.values()) for d, vs in s2.items()}
-    total = 0
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            total += c1 * c2 * comb(d1 + d2 - 2, d1 - 1)
-    return total
+    return sum(_merge_core(a, b).values())
 
 
 def try_split(p: BivarPoly):

@@ -29,6 +29,17 @@ class SearchRow:
     score: int
 
 
+def check_pipeline(levels: int, metric: str) -> None:
+    """Raise OutOfRange unless ``seed_score`` can run these arguments."""
+    if levels < SEED_LEVEL + 1 or levels > 8:
+        raise OutOfRange(
+            f"levels must be in 4..8, got {levels}: level 3 is the seed, and "
+            f"level 9 would build a level-8 polynomial, about 46 s for a "
+            f"9-point seed")
+    if metric not in ("weak", "count"):
+        raise OutOfRange(f"metric must be 'weak' or 'count', got {metric!r}")
+
+
 def seed_score(rc: RootedChirotope, levels: int, metric: str = "weak",
                cap: int | None = None) -> int:
     """Score of a seed after growing it from level 3 to the given level.
@@ -38,13 +49,7 @@ def seed_score(rc: RootedChirotope, levels: int, metric: str = "weak",
     polynomial in full. cap is the oracle's element cap for the seed;
     None means the oracle default.
     """
-    if levels < SEED_LEVEL + 1 or levels > 8:
-        raise OutOfRange(
-            f"levels must be in 4..8, got {levels}: level 3 is the seed, and "
-            f"level 9 would build a level-8 polynomial, about 46 s for a "
-            f"9-point seed")
-    if metric not in ("weak", "count"):
-        raise OutOfRange(f"metric must be 'weak' or 'count', got {metric!r}")
+    check_pipeline(levels, metric)
     p = brute_P(rc, cap=cap)
     for level in range(SEED_LEVEL + 1, levels):
         p = join_P(p, p) if level % 2 == 1 else meet_P(p, p)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from chirotri import doublecircle
 from chirotri import (EvalMode, QkTable, UnivarPoly,
                       brute_P, brute_Q, chirotope_from_points, constants,
                       convex, count_triangulations, dc_count,
@@ -77,9 +78,16 @@ def test_criterion_04_qk_table():
     assert table.total(3) == 43
     assert table.total(4) == 352
     assert table.coeff2(4) == 102
-    for k in range(1, 200):
-        # the closed-form step raises on any nonzero division remainder
-        assert qk_step_closedform(table.q(k)) == table.q(k + 1), k
+    # one walk of the rows: q(k) rebuilds Q_k in k - 1 steps
+    prev = None
+    for k, (row, _, _) in enumerate(doublecircle._rows(200), start=1):
+        q = UnivarPoly(dict(enumerate(row)))
+        if prev is not None:
+            # the closed-form step raises on any nonzero division remainder
+            assert qk_step_closedform(prev) == q, k
+        if k in (1, 2, 200):
+            assert table.q(k) == q, k
+        prev = q
     _report(4, "Q_k values and closed-form/convolution agreement to k=200", t0)
 
 

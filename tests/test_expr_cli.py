@@ -146,7 +146,9 @@ def test_materialize_checks_generator_size_before_building(monkeypatch):
         raise AssertionError("generator built above the cap")
     monkeypatch.setattr(compose, "convex", never)
     monkeypatch.setattr(compose, "chi_k", never)
-    for src, n in (("convex(100000)", 100000), ("chik(100000)", 200002)):
+    monkeypatch.setattr(compose, "koch", never)
+    for src, n in (("convex(100000)", 100000), ("chik(100000)", 200002),
+                   ("koch(100)", 2**100 + 2)):
         with pytest.raises(TooLarge, match=f"has {n} elements"):
             eval_expr(parse_expr(src), EvalMode.MATERIALIZE)
 
@@ -373,6 +375,15 @@ def test_cli_search(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "record,root,score"
     assert len(lines) == 3
+    # levels are checked before any record is read, so an empty database
+    # fails like a database with a record to score
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    for db in (path, empty):
+        assert run_cli(["search", "--db", str(db), "--n", "4", "--width", "8",
+                        "--levels", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: levels must be in 4..8, got 3")
 
 
 def test_cli_search_rejects_negative_top(tmp_path, capsys):
