@@ -184,8 +184,12 @@ def koch(i: int) -> RootedChirotope:
     if i < 0:
         raise OutOfRange(f"need i >= 0, got {i}")
     if i > KOCH_MATERIALIZE_CAP:
+        try:
+            size = str(2 ** i + 2)
+        except ValueError:  # past Python's int-to-str digit limit
+            size = f"2^{i} + 2"
         raise TooLarge(
-            f"koch({i}) has {2 ** i + 2} elements; materialization is capped at "
+            f"koch({i}) has {size} elements; materialization is capped at "
             f"level {KOCH_MATERIALIZE_CAP} - use the polynomial pipeline")
     rc = triangle()
     for level in range(1, i + 1):

@@ -277,7 +277,12 @@ class _Parser:
         t = self.peek()
         if t.kind == "NUMBER":
             self.next()
-            return int(t.text)
+            try:
+                return int(t.text)
+            except ValueError:  # a digit int() refuses, or too many digits
+                raise ExprSyntaxError(
+                    f"cannot read an integer from {len(t.text)} digit "
+                    f"character(s)", t.line, t.col) from None
         if t.kind == "STRING":
             self.next()
             return t.text
@@ -404,8 +409,12 @@ def _materialize_ops(cap: int) -> dict:
     and every generator that would build one, is refused."""
     def fit(n):
         if n is not None and n > cap:
+            try:
+                size = str(n)
+            except ValueError:  # past Python's int-to-str digit limit
+                size = f"at least 2^{n.bit_length() - 1}"
             raise TooLarge(
-                f"materialized result has {n} elements, above the oracle "
+                f"materialized result has {size} elements, above the oracle "
                 f"cap {cap}; use the polynomial mode")
 
     def capped(rc):

@@ -2,12 +2,16 @@
 
 Triangulations are the inclusion-maximal families of pairwise non-crossing
 segments; they are enumerated by deterministic backtracking over segments in
-lexicographic order against a precomputed pairwise-crossing bitmatrix. A
-segment may only be skipped if some chosen segment crosses it, so every
-maximal family is produced exactly once. A branch is abandoned as soon as a
-skipped segment has no crosser left that could still be chosen; such a branch
-yields nothing, so the output sequence is that of the unpruned search, order
-included.
+lexicographic order against precomputed crossing bitmasks. Those are built
+from side masks: for each segment, the segments at the points on its left and
+those at the points on its right, so one sign lookup per segment and point
+finds every segment it splits, and two segments cross when each splits the
+other. A segment that crosses nothing is in every family and is chosen before
+the search starts. A segment may only be skipped if some chosen segment
+crosses it, so every maximal family is produced exactly once. A branch is
+abandoned as soon as a skipped segment has no crosser left that could still
+be chosen; such a branch yields nothing, so the output sequence is that of
+the unpruned search, order included.
 
 This module is the ground truth that every recursive counting formula in the
 package is tested against; it is deliberately simple and size-capped.
@@ -64,41 +68,47 @@ def _ground(obj, cap):
         wg = WeakGround(obj)
         n, table, r, v = wg.v + 1, wg.table, obj.root, wg.v
     segs = [p for p in combinations(range(n), 2) if p != (r, v)]
-    m = len(segs)
-    masks = [0] * m
     inc = [0] * n
     for i, (a, b) in enumerate(segs):
         inc[a] |= 1 << i
         inc[b] |= 1 << i
-        for j in range(i + 1, m):
-            c, d = segs[j]
-            if a == c or a == d or b == c or b == d:
+    # split[i]: the segments with one endpoint on each side of segment i. A
+    # segment at the root skips v and one at v skips the root, so undefined
+    # triples are never read and root-side and phantom-side segments never
+    # cross.
+    split = []
+    for a, b in segs:
+        skip = v if r in (a, b) else r if b == v else -1
+        left = right = 0
+        for c in range(n):
+            if c == a or c == b or c == skip:
                 continue
-            if r in (a, b, c, d) and v in (a, b, c, d):
-                continue  # root-side and phantom-side segments never cross
-            if (table_sign(table, a, b, c) != table_sign(table, a, b, d)
-                    and table_sign(table, c, d, a) != table_sign(table, c, d, b)):
+            if table_sign(table, a, b, c) > 0:
+                left |= inc[c]
+            else:
+                right |= inc[c]
+        split.append(left & right)
+    # two segments cross when each splits the other
+    masks = [0] * len(segs)
+    for i, cut in enumerate(split):
+        cut &= -2 << i  # the pairs (i, j) with j > i
+        while cut:
+            low = cut & -cut
+            cut ^= low
+            j = low.bit_length() - 1
+            if (split[j] >> i) & 1:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return segs, masks, inc
-
-
-def _covered(masks, pend, free):
-    """Whether every segment in pend has a crosser in free."""
-    while pend:
-        bit = pend & -pend
-        if not masks[bit.bit_length() - 1] & free:
-            return False
-        pend ^= bit
-    return True
 
 
 def _iter_maximal(masks):
     """Yield every maximal independent set of the crossing graph as a bitmask.
 
     Depth-first over segment indices, lowest first, with the include branch
-    explored first, so the output order is deterministic. ``free`` holds the
-    undecided segments that no chosen segment crosses. A segment may be
+    explored first, so the output order is deterministic. A segment that
+    crosses nothing is in every set, so it is chosen up front. ``free`` holds
+    the undecided segments that no chosen segment crosses. A segment may be
     skipped only while a crosser of it is free; it then stays pending until a
     chosen segment crosses it. A branch ends as soon as a pending segment has
     no free crosser left, since nothing below it is maximal. Every live node
@@ -106,22 +116,38 @@ def _iter_maximal(masks):
     free is a maximal set. The pruning removes only branches without output:
     the sequence equals that of the unpruned search, order included.
     """
-    stack = [((1 << len(masks)) - 1, 0, 0)]  # (free, pending, chosen)
-    while stack:
+    crossers = {}  # bit of a crossed segment -> mask of its crossers
+    uncrossed = 0
+    for i, cross in enumerate(masks):
+        if cross:
+            crossers[1 << i] = cross
+        else:
+            uncrossed |= 1 << i
+    stack = [(((1 << len(masks)) - 1) ^ uncrossed, 0, uncrossed)]
+    while stack:  # (free, pending, chosen)
         free, pend, chosen = stack.pop()
         while free:
             bit = free & -free
             free ^= bit
-            cross = masks[bit.bit_length() - 1]
+            cross = crossers[bit]
             lost = cross & free
             if lost:  # otherwise no crosser is free and the include is forced
-                if _covered(masks, pend & cross, free):
+                # skip bit only if each pending segment it crosses keeps a
+                # free crosser once it is skipped
+                left = pend & cross
+                while left and crossers[left & -left] & free:
+                    left &= left - 1
+                if not left:
                     stack.append((free, pend | bit, chosen))
                 free ^= lost
             chosen |= bit
             pend &= ~cross
-            if lost and not _covered(masks, pend, free):
-                break
+            if lost:  # the include took free crossers away
+                left = pend
+                while left and crossers[left & -left] & free:
+                    left &= left - 1
+                if left:
+                    break
         else:
             yield chosen
 
@@ -146,13 +172,23 @@ def count_triangulations(chi: Chirotope, cap: int | None = None) -> int:
     return sum(1 for _ in _iter_maximal(_ground(chi, cap)[1]))
 
 
+def _tally(masks, ends):
+    """Leaves per key, the key being a maximal family's segments in ``ends``;
+    a caller takes the degrees once per key, not once per leaf."""
+    tally: dict[int, int] = {}
+    for mask in _iter_maximal(masks):
+        key = mask & ends
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
 def brute_Q(rc: RootedChirotope, cap: int | None = None) -> UnivarPoly:
     """Triangulation polynomial by root degree, from direct enumeration."""
     _, masks, inc = _ground(rc.chi, cap)
     acc: dict[int, int] = {}
-    for mask in _iter_maximal(masks):
-        d = (mask & inc[rc.root]).bit_count()
-        acc[d] = acc.get(d, 0) + 1
+    for key, count in _tally(masks, inc[rc.root]).items():
+        d = key.bit_count()
+        acc[d] = acc.get(d, 0) + count
     return UnivarPoly(acc)
 
 
@@ -161,7 +197,7 @@ def brute_P(rc: RootedChirotope, cap: int | None = None) -> BivarPoly:
     _, masks, inc = _ground(rc, cap)
     root_mask, v_mask = inc[rc.root], inc[rc.chi.n]
     acc: dict[tuple[int, int], int] = {}
-    for mask in _iter_maximal(masks):
-        key = ((mask & root_mask).bit_count(), (mask & v_mask).bit_count())
-        acc[key] = acc.get(key, 0) + 1
+    for key, count in _tally(masks, root_mask | v_mask).items():
+        d = ((key & root_mask).bit_count(), (key & v_mask).bit_count())
+        acc[d] = acc.get(d, 0) + count
     return BivarPoly(acc)

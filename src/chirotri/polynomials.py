@@ -394,15 +394,17 @@ def count_weak_join(p1: BivarPoly, p2: BivarPoly, kind: str = "join") -> int:
     """Total weak-triangulation count of a join or meet, by marginals only.
 
     Equals the full merged polynomial evaluated at (1, 1) but never builds
-    it: only the per-root-degree totals of each operand are needed.
+    it: only the per-root-degree totals of each operand are needed. When
+    both operands are the same object, its totals are taken once.
     """
+    same = p2 is p1
     if kind == "meet":
         p1 = swap_vars(p1)
-        p2 = swap_vars(p2)
+        p2 = p1 if same else swap_vars(p2)
     elif kind != "join":
         raise OutOfRange(f"kind must be 'join' or 'meet', got {kind!r}")
     s1 = p1.u_slices()
-    s2 = p2.u_slices()
+    s2 = s1 if same else p2.u_slices()
     if not s1 or not s2:
         raise EmptyInput("zero operand polynomial")
     if min(s1) < 2 or min(s2) < 2:
@@ -410,7 +412,7 @@ def count_weak_join(p1: BivarPoly, p2: BivarPoly, kind: str = "join") -> int:
     # the full merge at (1, 1) sums a[d1] b[d2] N(d1, d2)(1), and _merge_core
     # of the marginals spreads that same sum over the root degrees
     a = {d: sum(vs.values()) for d, vs in s1.items()}
-    b = {d: sum(vs.values()) for d, vs in s2.items()}
+    b = a if same else {d: sum(vs.values()) for d, vs in s2.items()}
     return sum(_merge_core(a, b).values())
 
 

@@ -1,10 +1,13 @@
 """Shared helpers: random realizable fixtures and small reference oracles."""
 
+from itertools import combinations
 from math import comb
 
 import mpmath as mp
 
-from chirotri import PointSet, RootedChirotope, chirotope_from_points
+from chirotri import (Chirotope, PointSet, RootedChirotope, WeakGround,
+                      chirotope_from_points)
+from chirotri.chirotope import table_sign
 
 
 def catalan(n: int) -> int:
@@ -34,6 +37,39 @@ def random_rooted(n, rng, span=60) -> RootedChirotope:
 def chi1_fixture_points() -> PointSet:
     """Triangle (0,0), (4,0), (2,3) with interior point (2,1)."""
     return PointSet([(0, 0), (4, 0), (2, 3), (2, 1)])
+
+
+def crossing_masks_pairwise(obj):
+    """Spec for ``oracle._ground``: (segments, crossing masks, incidence
+    masks) with every pair of segments tested for a crossing.
+
+    A Chirotope is searched over its own labels, a RootedChirotope over its
+    WeakGround. masks[i] is the bitmask of the segments crossing segment i;
+    inc[x] is that of the segments with endpoint x.
+    """
+    if isinstance(obj, Chirotope):
+        n, table, r, v = obj.n, obj._table, -1, -1
+    else:
+        wg = WeakGround(obj)
+        n, table, r, v = wg.v + 1, wg.table, obj.root, wg.v
+    segs = [p for p in combinations(range(n), 2) if p != (r, v)]
+    m = len(segs)
+    masks = [0] * m
+    inc = [0] * n
+    for i, (a, b) in enumerate(segs):
+        inc[a] |= 1 << i
+        inc[b] |= 1 << i
+        for j in range(i + 1, m):
+            c, d = segs[j]
+            if a == c or a == d or b == c or b == d:
+                continue
+            if r in (a, b, c, d) and v in (a, b, c, d):
+                continue  # root-side and phantom-side segments never cross
+            if (table_sign(table, a, b, c) != table_sign(table, a, b, d)
+                    and table_sign(table, c, d, a) != table_sign(table, c, d, b)):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return segs, masks, inc
 
 
 def iter_maximal_unpruned(masks):

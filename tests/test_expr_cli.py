@@ -413,6 +413,20 @@ def test_cli_generator_argument_out_of_range(capsys):
             assert out == "" and err.startswith("error: "), argv
 
 
+def test_cli_numbers_past_the_str_digit_limit(capsys):
+    # 2^20000 + 2, like a 5,000-digit literal, has more decimal digits than
+    # Python converts between int and str by default
+    for argv in (["count", "koch(20000)"],
+                 ["--oracle-cap", "100000", "count", "koch(20000)"],
+                 ["count", "convex(" + "9" * 5000 + ")"],
+                 ["count", "convex(\u00b2)"]):
+        assert run_cli(argv) == 1, argv[:3]
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv[:3]
+    with pytest.raises(TooLarge, match=r"koch\(20000\) has 2\^20000 \+ 2 elements"):
+        compose.koch(20000)
+
+
 def test_cli_output_determinism(capsys):
     run_cli(["dc-table", "--kmax", "6"])
     first = capsys.readouterr().out

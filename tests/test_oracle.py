@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from chirotri import (BivarPoly, OracleTooLarge, RootedChirotope, UnivarPoly,
                       WeakGround, brute_P, brute_Q, chi1, chi_k,
                       chirotope_from_points, convex, convex_hull_labels,
-                      enumerate_triangulations, enumerate_weak, q_from_p,
-                      segments_cross)
-from chirotri.oracle import _iter_maximal
+                      double_circle, enumerate_triangulations, enumerate_weak,
+                      q_from_p, segments_cross)
+from chirotri.oracle import _ground, _iter_maximal
 
-from helpers import (catalan, iter_maximal_unpruned, random_point_set,
-                     random_rooted)
+from helpers import (catalan, crossing_masks_pairwise, iter_maximal_unpruned,
+                     random_point_set, random_rooted)
 
 
 def test_enumerate_counts():
@@ -136,6 +136,43 @@ def test_brute_P_exponent_floor():
     for _ in range(8):
         p = brute_P(random_rooted(rng.randrange(4, 8), rng))
         assert all(a >= 2 and b >= 2 for (a, b), _ in p.terms())
+
+
+def test_ground_matches_pairwise_spec():
+    rng = random.Random(101)
+    rooted = [chi1(), convex(6), double_circle(3), double_circle(4)]
+    for n in range(4, 11):
+        for _ in range(2):
+            chi = chirotope_from_points(random_point_set(n, rng))
+            rooted += [RootedChirotope(chi, r)
+                       for r in sorted(chi.extreme_elements())]
+    for rc in rooted:
+        assert _ground(rc.chi, 12) == crossing_masks_pairwise(rc.chi)
+        assert _ground(rc, 12) == crossing_masks_pairwise(rc)
+
+
+def test_brute_P_tallies_its_own_leaves():
+    rng = random.Random(103)
+    for _ in range(12):
+        ps = random_point_set(rng.randrange(5, 9), rng)
+        chi = chirotope_from_points(ps)
+        rc = RootedChirotope(chi, rng.choice(sorted(chi.extreme_elements())))
+        v = chi.n
+        weaks = list(enumerate_weak(rc))
+        tally = {}
+        for w in weaks:
+            key = (sum(rc.root in s for s in w), sum(v in s for s in w))
+            tally[key] = tally.get(key, 0) + 1
+        assert brute_P(rc) == BivarPoly(tally)
+        # a segment that crosses nothing is in every family
+        segs, masks, _ = _ground(rc, None)
+        uncrossed = {s for s, cross in zip(segs, masks) if not cross}
+        assert all(uncrossed <= set(w) for w in weaks)
+        segs, masks, _ = _ground(chi, None)
+        uncrossed = {s for s, cross in zip(segs, masks) if not cross}
+        hull = convex_hull_labels(ps)
+        assert {tuple(sorted(e)) for e in zip(hull, hull[1:] + hull[:1])} <= uncrossed
+        assert all(uncrossed <= set(t) for t in enumerate_triangulations(chi))
 
 
 @st.composite

@@ -159,6 +159,29 @@ def test_count_weak_join():
         count_weak_join(B({(2, 2): 1}), B({(2, 2): 1}), "bogus")
 
 
+def test_count_weak_join_same_operand_once(monkeypatch):
+    rng = random.Random(127)
+    seeds = [brute_P(random_rooted(n, rng)) for n in (5, 6, 7)]
+    for p in seeds + [join_P(seeds[0], seeds[1]), meet_P(seeds[1], seeds[2])]:
+        copy = B(dict(p._c))
+        calls = []
+        real = B.u_slices
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        for kind in ("join", "meet"):
+            monkeypatch.setattr(B, "u_slices", counted)
+            calls.clear()
+            got = count_weak_join(p, p, kind)
+            assert len(calls) == 1
+            monkeypatch.setattr(B, "u_slices", real)
+            assert got == count_weak_join(p, copy, kind)
+            full = join_P(p, copy) if kind == "join" else meet_P(p, copy)
+            assert got == full(1, 1)
+
+
 def test_try_split():
     assert try_split(B({(3, 2): 1, (3, 3): 1})) == (U({3: 1}), U({2: 1, 3: 1}))
     assert try_split(B({(2, 2): 1, (3, 3): 1})) is None
