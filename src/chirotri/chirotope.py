@@ -3,8 +3,8 @@
 A chirotope on n elements stores one sign per sorted triple (i < j < k);
 queries on arbitrary orderings apply the permutation parity, so the
 alternating symmetry holds by construction. Axiom checking (interiority and
-transitivity) is an exhaustive scan, vectorized with numpy so that randomized
-test sweeps stay cheap.
+transitivity) is an exhaustive scan over per-pair bitmasks of the labels on
+the positive side.
 """
 
 from __future__ import annotations
@@ -12,22 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
-from .errors import (
-    GeneralPositionViolation,
-    InvalidTriple,
-    MalformedFile,
-    NotARootedChirotope,
-    SharedEndpoint,
-    TooSmall,
-)
+from .errors import (GeneralPositionViolation, InvalidTriple, MalformedFile,
+                     NotARootedChirotope, SharedEndpoint, TooSmall)
 from .geometry import PointSet, orient
 
 
 def sorted_triples(n: int):
     """All label triples (i < j < k) in lexicographic order."""
     return combinations(range(n), 3)
+
+
+def _bits(mask):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def table_sign(table, x, y, z):
@@ -138,50 +138,40 @@ class Chirotope:
 
     # -- axiom scan ------------------------------------------------------
 
-    def _sign_cube(self):
-        n = self.n
-        cube = np.zeros((n, n, n), dtype=np.int8)
-        for (i, j, k), s in self._table.items():
-            cube[i, j, k] = cube[j, k, i] = cube[k, i, j] = s
-            cube[j, i, k] = cube[i, k, j] = cube[k, j, i] = -s
-        return cube
-
     def check_axioms(self) -> "AxiomReport":
-        """Exhaustive interiority and transitivity scan.
-
-        Degenerate tuples are excluded automatically because every premise
-        requires a nonzero stored sign and the diagonal of the cube is zero.
+        """Exhaustive interiority and transitivity scan, rows in lexicographic
+        order. pos[a][b] is the bitmask of the c with sign(a, b, c) = +1; it
+        never holds a or b, so no degenerate tuple is produced.
         """
-        cube = self._sign_cube()
         n = self.n
+        pos = [[0] * n for _ in range(n)]
+        for (i, j, k), s in self._table.items():
+            if s < 0:
+                i, j = j, i
+            pos[i][j] |= 1 << k
+            pos[j][k] |= 1 << i
+            pos[k][i] |= 1 << j
 
-        # interiority over ordered (x, y, z, t):
+        # interiority over ordered (x, y, z, t), z in pos[y][x] (sign(x,y,z) = -1):
         #   sign(t,y,z) = sign(x,t,z) = sign(x,y,t) = 1  requires  sign(x,y,z) = 1
-        a1 = cube.transpose(1, 2, 0)[None, :, :, :]     # [x,y,z,t] <- cube[t,y,z]
-        a2 = cube.transpose(0, 2, 1)[:, None, :, :]     # cube[x,t,z]
-        a3 = cube[:, :, None, :]                        # cube[x,y,t]
-        a4 = cube[:, :, :, None]                        # cube[x,y,z]
-        bad = (a1 == 1) & (a2 == 1) & (a3 == 1) & (a4 == -1)
-        interiority = [tuple(int(v) for v in row) for row in np.argwhere(bad)]
+        interiority = [(x, y, z, t) for x in range(n) for y in range(n)
+                       for z in _bits(pos[y][x])
+                       for t in _bits(pos[y][z] & pos[z][x] & pos[x][y])]
 
-        # transitivity over ordered (s, t, x, y, z), chunked over s:
+        # transitivity over ordered (s, t, x, y, z):
         #   sign(t,s,x) = sign(t,s,y) = sign(t,s,z) = sign(x,y,t) = sign(y,z,t) = 1
-        #   requires sign(x,z,t) = 1
+        #   requires sign(x,z,t) = 1; with A = pos[t] and P = A[s], the x are
+        #   P, the y are P & A[x], and the z are P & A[y] outside A[x]
         transitivity = []
-        ct = cube.transpose(2, 0, 1)                    # ct[t,x,y] = cube[x,y,t]
         for s in range(n):
-            cs = cube[:, s, :]                          # cs[t,x] = cube[t,s,x]
-            b1 = cs[:, :, None, None]
-            b2 = cs[:, None, :, None]
-            b3 = cs[:, None, None, :]
-            b4 = ct[:, :, :, None]                      # cube[x,y,t]
-            b5 = ct[:, None, :, :]                      # cube[y,z,t]
-            b6 = ct[:, :, None, :]                      # cube[x,z,t]
-            bad = ((b1 == 1) & (b2 == 1) & (b3 == 1)
-                   & (b4 == 1) & (b5 == 1) & (b6 == -1))
-            for t, x, y, z in np.argwhere(bad):
-                transitivity.append((s, int(t), int(x), int(y), int(z)))
-
+            for t in range(n):
+                A = pos[t]
+                P = A[s]
+                for x in _bits(P):
+                    for y in _bits(P & A[x]):
+                        if bad := P & A[y] & ~A[x]:
+                            transitivity.extend((s, t, x, y, z)
+                                                for z in _bits(bad))
         return AxiomReport(interiority, transitivity)
 
 

@@ -15,6 +15,7 @@ fixed pull-in factor, and validated; nothing is retried.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -175,6 +176,15 @@ def chi_k(k: int) -> RootedChirotope:
     return rc
 
 
+def koch_size(i: int) -> str | None:
+    """koch(i)'s element count 2**i + 2 in decimal, or None, decided from i
+    without building the count, when it has more digits than Python prints."""
+    limit = sys.get_int_max_str_digits()
+    if limit and i >= (10 ** limit).bit_length():  # then 2**i >= 10**limit
+        return None
+    return str(2 ** i + 2)
+
+
 def koch(i: int) -> RootedChirotope:
     """Level-i rooted Koch chain: alternately self-join (odd i) and self-meet.
 
@@ -184,10 +194,7 @@ def koch(i: int) -> RootedChirotope:
     if i < 0:
         raise OutOfRange(f"need i >= 0, got {i}")
     if i > KOCH_MATERIALIZE_CAP:
-        try:
-            size = str(2 ** i + 2)
-        except ValueError:  # past Python's int-to-str digit limit
-            size = f"2^{i} + 2"
+        size = koch_size(i) or f"2^{i} + 2"
         raise TooLarge(
             f"koch({i}) has {size} elements; materialization is capped at "
             f"level {KOCH_MATERIALIZE_CAP} - use the polynomial pipeline")
@@ -215,11 +222,8 @@ def double_circle_points(k: int) -> PointSet:
     outer = [((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)) for t in ts]
     cx = sum(p[0] for p in outer) / k
     cy = sum(p[1] for p in outer) / k
-    mids = []
-    for j in range(k):
-        q = outer[(j + 1) % k]
-        p = outer[j]
-        mids.append(((p[0] + q[0]) / 2, (p[1] + q[1]) / 2))
+    mids = [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+            for p, q in zip(outer, outer[1:] + outer[:1])]
     inner = []
     for j, (mx, my) in enumerate(mids):
         e = Fraction(100 * k + j + 1, 100 * k * 2 ** 20)

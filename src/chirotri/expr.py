@@ -37,7 +37,7 @@ from .errors import (ExprSyntaxError, MalformedFile, NotARootedChirotope,
                      OutOfRange, TooLarge)
 from .geometry import PointSet
 from .oracle import DEFAULT_ORACLE_CAP, brute_P
-from .polynomials import BivarPoly, join_P, meet_P, swap_vars
+from .polynomials import join_P, meet_P, swap_vars
 
 
 # -- AST ----------------------------------------------------------------------
@@ -363,8 +363,6 @@ def load_rooted(path: str, root: int | None = None) -> RootedChirotope:
     return RootedChirotope(chi, root)
 
 
-
-
 def _join_chain(leaf: str, count: int):
     """Left-nested join of ``count`` copies of the atom ``leaf``."""
     return reduce(Join, [Atom(leaf)] * count)
@@ -407,21 +405,27 @@ def _build(e: Atom) -> RootedChirotope:
 def _materialize_ops(cap: int) -> dict:
     """Node type -> compose operation; every result above ``cap`` elements,
     and every generator that would build one, is refused."""
+    def refuse(size):
+        raise TooLarge(
+            f"materialized result has {size} elements, above the oracle "
+            f"cap {cap}; use the polynomial mode")
+
     def fit(n):
         if n is not None and n > cap:
             try:
                 size = str(n)
             except ValueError:  # past Python's int-to-str digit limit
                 size = f"at least 2^{n.bit_length() - 1}"
-            raise TooLarge(
-                f"materialized result has {size} elements, above the oracle "
-                f"cap {cap}; use the polynomial mode")
+            refuse(size)
 
     def capped(rc):
         fit(rc.chi.n)
         return rc
 
     def atom(e, memo):
+        if e.name == "koch" and (i := e.args[0]) >= cap.bit_length():
+            # 2**i + 2 > cap: refused from i, without building the count
+            refuse(compose.koch_size(i) or f"at least 2^{i}")
         size = _ATOMS[e.name][3]
         fit(size and size(*e.args))
         return capped(_build(e))

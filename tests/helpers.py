@@ -1,6 +1,6 @@
 """Shared helpers: random realizable fixtures and small reference oracles."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import mpmath as mp
@@ -37,6 +37,30 @@ def random_rooted(n, rng, span=60) -> RootedChirotope:
 def chi1_fixture_points() -> PointSet:
     """Triangle (0,0), (4,0), (2,3) with interior point (2,1)."""
     return PointSet([(0, 0), (4, 0), (2, 3), (2, 1)])
+
+
+def axiom_violations_spec(chi):
+    """Spec for ``Chirotope.check_axioms``: (interiority, transitivity) rows,
+    each axiom restated literally through ``chi.sign`` over ordered tuples of
+    distinct labels, in lexicographic order.
+
+    Interiority: sign(t,y,z) = sign(x,t,z) = sign(x,y,t) = 1 requires
+    sign(x,y,z) = 1. Transitivity: sign(t,s,x) = sign(t,s,y) = sign(t,s,z) =
+    sign(x,y,t) = sign(y,z,t) = 1 requires sign(x,z,t) = 1.
+    """
+    sign = chi.sign
+    interiority = []
+    for x, y, z, t in permutations(range(chi.n), 4):
+        if (sign(t, y, z) == 1 and sign(x, t, z) == 1 and sign(x, y, t) == 1
+                and sign(x, y, z) != 1):
+            interiority.append((x, y, z, t))
+    transitivity = []
+    for s, t, x, y, z in permutations(range(chi.n), 5):
+        if (sign(t, s, x) == 1 and sign(t, s, y) == 1 and sign(t, s, z) == 1
+                and sign(x, y, t) == 1 and sign(y, z, t) == 1
+                and sign(x, z, t) != 1):
+            transitivity.append((s, t, x, y, z))
+    return interiority, transitivity
 
 
 def crossing_masks_pairwise(obj):

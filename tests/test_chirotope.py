@@ -15,7 +15,7 @@ from chirotri import (Chirotope, GeneralPositionViolation, InvalidTriple,
                       read_chi, segments_cross, write_chi)
 from chirotri.chirotope import sorted_triples
 
-from helpers import chi1_fixture_points, random_point_set
+from helpers import axiom_violations_spec, chi1_fixture_points, random_point_set
 
 
 def test_orient_basic():
@@ -99,6 +99,34 @@ def test_axioms_convex6_and_mutated_convex5():
     report = Chirotope(5, table).check_axioms()
     assert not report.ok
     assert report.interiority or report.transitivity
+
+
+def test_check_axioms_matches_nested_loop_spec():
+    # the same rows in the same order, on valid tables and on tables with
+    # three or half of their signs flipped
+    rng = random.Random(29)
+    tables = []
+    for n in range(4, 10):
+        chi = chirotope_from_points(random_point_set(n, rng))
+        tables.append(chi)
+        if n > 8:
+            continue
+        triples = list(sorted_triples(n))
+        for flips in (3, len(triples) // 2):
+            table = dict(chi.items())
+            for t in rng.sample(triples, flips):
+                table[t] = -table[t]
+            tables.append(Chirotope(n, table))
+    table = {t: 1 for t in sorted_triples(5)}
+    table[(1, 2, 4)] = -1
+    tables.append(Chirotope(5, table))
+    seen_bad = 0
+    for chi in tables:
+        report = chi.check_axioms()
+        assert (report.interiority, report.transitivity) == \
+            axiom_violations_spec(chi), chi.n
+        seen_bad += not report.ok
+    assert seen_bad >= 8
 
 
 def test_extreme_elements_convex_and_double_circle():

@@ -8,20 +8,21 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chirotri import (EvalMode, ExprSyntaxError, GeneralPositionViolation,
-                      MalformedFile, OracleTooLarge, OrderTypeRecord,
-                      RootedChirotope, TooLarge, brute_Q, chi1,
-                      chirotope_from_points, convex, count_triangulations,
-                      eval_expr, iter_order_types, koch_variant_search, meet,
-                      meet_P, parse_expr, print_expr, q_from_p,
-                      rank_candidates, read_order_types, seed_score,
-                      serialize_order_types, write_chi)
+from chirotri import (Chirotope, EvalMode, ExprSyntaxError,
+                      GeneralPositionViolation, MalformedFile, OracleTooLarge,
+                      OrderTypeRecord, PointSet, RootedChirotope, TooLarge,
+                      brute_Q, chi1, chirotope_from_points, convex,
+                      count_triangulations, eval_expr, iter_order_types,
+                      koch_variant_search, meet, meet_P, parse_expr,
+                      print_expr, q_from_p, rank_candidates, read_order_types,
+                      seed_score, serialize_order_types, write_chi)
 from chirotri import compose
 from chirotri.cli import run_cli
 from chirotri.expr import Atom, Flip, Join, Meet, Twist
@@ -364,6 +365,42 @@ def test_cli_axioms(tmp_path, capsys):
     path.write_text(bad)
     assert run_cli(["axioms", str(path)]) == 1
     assert "violations" in capsys.readouterr().out
+    # an 8-point set with three signs flipped: the first ten rows of each
+    # list, in scan order
+    pts = PointSet([(6, 13), (1, 15), (11, 18), (17, 6), (16, 13), (15, 11),
+                    (13, 11), (0, 17)])
+    table = dict(chirotope_from_points(pts).items())
+    for t in ((1, 5, 7), (2, 3, 7), (3, 5, 7)):
+        table[t] = -table[t]
+    path.write_text(write_chi(Chirotope(8, table)))
+    assert run_cli(["axioms", str(path)]) == 1
+    assert capsys.readouterr().out == _BAD8_AXIOMS
+
+
+_BAD8_AXIOMS = """\
+interiority violations: 24
+  (x,y,z,t)=(2, 3, 6, 7)
+  (x,y,z,t)=(2, 6, 7, 3)
+  (x,y,z,t)=(2, 7, 3, 6)
+  (x,y,z,t)=(3, 2, 7, 6)
+  (x,y,z,t)=(3, 5, 7, 6)
+  (x,y,z,t)=(3, 6, 2, 7)
+  (x,y,z,t)=(3, 6, 5, 7)
+  (x,y,z,t)=(3, 7, 6, 2)
+  (x,y,z,t)=(3, 7, 6, 5)
+  (x,y,z,t)=(5, 3, 6, 7)
+transitivity violations: 54
+  (s,t,x,y,z)=(0, 1, 2, 7, 5)
+  (s,t,x,y,z)=(0, 1, 4, 7, 5)
+  (s,t,x,y,z)=(0, 1, 5, 2, 7)
+  (s,t,x,y,z)=(0, 1, 5, 4, 7)
+  (s,t,x,y,z)=(0, 1, 7, 5, 2)
+  (s,t,x,y,z)=(0, 1, 7, 5, 4)
+  (s,t,x,y,z)=(0, 7, 2, 3, 4)
+  (s,t,x,y,z)=(0, 7, 2, 3, 6)
+  (s,t,x,y,z)=(0, 7, 3, 4, 2)
+  (s,t,x,y,z)=(0, 7, 3, 6, 2)
+"""
 
 
 def test_cli_search(tmp_path, capsys):
@@ -425,6 +462,26 @@ def test_cli_numbers_past_the_str_digit_limit(capsys):
         assert out == "" and err.startswith("error: "), argv[:3]
     with pytest.raises(TooLarge, match=r"koch\(20000\) has 2\^20000 \+ 2 elements"):
         compose.koch(20000)
+
+
+def test_koch_past_the_cap_is_refused_without_building_its_count(capsys):
+    # the level alone shows that 2^i + 2 is above the cap; building the count
+    # of koch(10^8) would take about 12 MB per copy
+    assert run_cli(["count", "koch(100000000)"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: materialized result has at least 2^100000000 elements, above "
+        "the oracle cap 12; use the polynomial mode\n"))
+    tree = parse_expr("koch(100000000)")
+    for build in (lambda: compose.koch(10 ** 8),
+                  lambda: eval_expr(tree, EvalMode.MATERIALIZE)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=r"2\^100000000"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def test_cli_output_determinism(capsys):
@@ -501,6 +558,15 @@ def test_python_m_chirotri_runs_the_cli():
         capture_output=True, env=_env_with_src(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["x"] == "1/20"
+
+
+def test_import_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chirotri; print('numpy' in sys.modules)"],
+        capture_output=True, env=_env_with_src(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
 
 
 def test_cli_closed_pipe_exits_quietly():
