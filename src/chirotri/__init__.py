@@ -25,7 +25,7 @@ from .errors import (ChirotriError, ConstructionFailed, EmptyInput,
                      WriteFailed)
 from .expr import EvalMode, eval_expr, load_rooted, parse_expr, print_expr
 from .geometry import PointSet, convex_hull_labels, orient
-from .oracle import (DEFAULT_ORACLE_CAP, WeakGround, brute_P, brute_Q,
+from .oracle import (DEFAULT_ORACLE_CAP, brute_P, brute_Q,
                      count_triangulations, enumerate_triangulations,
                      enumerate_weak)
 from .orderdb import (OrderTypeRecord, iter_order_types, read_order_types,

@@ -2,9 +2,11 @@
 
 A chirotope on n elements stores one sign per sorted triple (i < j < k);
 queries on arbitrary orderings apply the permutation parity, so the
-alternating symmetry holds by construction. Axiom checking (interiority and
-transitivity) is an exhaustive scan over per-pair bitmasks of the labels on
-the positive side.
+alternating symmetry holds by construction. One pass over the table gives the
+side masks: for each ordered pair (a, b), the bitmask of the labels c with
+sign(a, b, c) = +1. Axiom checking (interiority and transitivity) is an
+exhaustive scan over them, and a hull witness of x is a y whose mask holds
+every other label (+) or none (-).
 """
 
 from __future__ import annotations
@@ -41,6 +43,25 @@ def table_sign(table, x, y, z):
         if x > y:
             x, y, s = y, x, -s
     return s * table[(x, y, z)]
+
+
+def _hull_witnesses(pos, x) -> tuple[list, list]:
+    """(ys with pos[x][y] holding every label but x and y, ys with pos[x][y]
+    empty): the hull witnesses of x, read from side masks.
+
+    Each list holds at most one label, since sign(x, y1, y2) =
+    -sign(x, y2, y1); both are empty unless x is extreme.
+    """
+    row = pos[x]
+    rest = ((1 << len(row)) - 1) ^ (1 << x)
+    plus, minus = [], []
+    for y, mask in enumerate(row):
+        if y != x:
+            if mask == rest ^ (1 << y):
+                plus.append(y)
+            elif not mask:
+                minus.append(y)
+    return plus, minus
 
 
 class Chirotope:
@@ -111,38 +132,17 @@ class Chirotope:
 
     def extreme_elements(self) -> frozenset:
         """Labels x admitting a witness y with sign(x, y, z) constant over z."""
-        return frozenset(x for x in range(self.n) if any(self._witnesses(x)))
+        pos = self._sides()
+        return frozenset(x for x in range(self.n)
+                         if any(_hull_witnesses(pos, x)))
 
     def _witnesses(self, x) -> tuple[list, list]:
-        """(ys with sign(x, y, z) = +1 for every z, ys with constant sign -1).
+        """(ys with sign(x, y, z) = +1 for every z, ys with constant sign -1)."""
+        return _hull_witnesses(self._sides(), x)
 
-        Each list holds at most one label, since sign(x, y1, y2) =
-        -sign(x, y2, y1); both are empty unless x is extreme.
-        """
-        plus, minus = [], []
-        for y in range(self.n):
-            if y == x:
-                continue
-            sig = 0
-            for z in range(self.n):
-                if z == x or z == y:
-                    continue
-                s = self._sign(x, y, z)
-                if sig == 0:
-                    sig = s
-                elif s != sig:
-                    break
-            else:
-                (plus if sig == 1 else minus).append(y)
-        return plus, minus
-
-    # -- axiom scan ------------------------------------------------------
-
-    def check_axioms(self) -> "AxiomReport":
-        """Exhaustive interiority and transitivity scan, rows in lexicographic
-        order. pos[a][b] is the bitmask of the c with sign(a, b, c) = +1; it
-        never holds a or b, so no degenerate tuple is produced.
-        """
+    def _sides(self) -> list[list[int]]:
+        """pos[a][b], the bitmask of the c with sign(a, b, c) = +1, from one
+        pass over the table; it never holds a or b."""
         n = self.n
         pos = [[0] * n for _ in range(n)]
         for (i, j, k), s in self._table.items():
@@ -151,6 +151,17 @@ class Chirotope:
             pos[i][j] |= 1 << k
             pos[j][k] |= 1 << i
             pos[k][i] |= 1 << j
+        return pos
+
+    # -- axiom scan ------------------------------------------------------
+
+    def check_axioms(self) -> "AxiomReport":
+        """Exhaustive interiority and transitivity scan over the side masks,
+        rows in lexicographic order; no mask holds its own pair, so no
+        degenerate tuple is produced.
+        """
+        n = self.n
+        pos = self._sides()
 
         # interiority over ordered (x, y, z, t), z in pos[y][x] (sign(x,y,z) = -1):
         #   sign(t,y,z) = sign(x,t,z) = sign(x,y,t) = 1  requires  sign(x,y,z) = 1

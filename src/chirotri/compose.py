@@ -3,10 +3,13 @@
 The join merges two rooted chirotopes at their roots and identifies the left
 root's hull predecessor with the right root's hull successor; the merged
 ground set keeps the left block first, then the right block, then the shared
-point x0, then the new root last. The meet is the same merge with the two
-mixed-block orientation cases negated; it also equals the twist/join/twist
-composition twist(join(twist(b), twist(a))), which the tests compare against
-it triple for triple.
+point x0, then the new root last. A triple on one operand's side takes that
+operand's sign. Of the four mixed shapes, (left, right, root) is +1 and the
+other three take one operand's sign with its root standing in for the
+element from the other side. The meet is the same merge with those three
+negated; it also equals the twist/join/twist composition
+twist(join(twist(b), twist(a))), which the tests compare against it triple
+for triple.
 
 The generators check their own argument ranges, so both evaluation modes of
 the expression language fail alike. The double circle is built once, at a
@@ -23,7 +26,7 @@ from itertools import combinations
 from .chirotope import Chirotope, RootedChirotope, chirotope_from_points
 from .errors import (ConstructionFailed, GeneralPositionViolation, OutOfRange,
                      TooLarge, TooSmall)
-from .geometry import PointSet
+from .geometry import PointSet, det
 
 KOCH_MATERIALIZE_CAP = 5  # level cap: koch(i) has 2**i + 2 elements
 
@@ -51,70 +54,40 @@ def _merge(rc1: RootedChirotope, rc2: RootedChirotope, negate_mixed: bool):
     _, um1 = rc1.hull_neighbors()
     up2, _ = rc2.hull_neighbors()
 
+    # result labels: left block, right block, x0, root; m1 / m2 give each
+    # its operand-1 / operand-2 label, None off that operand's side
     left = [x for x in range(chi1.n) if x != r1 and x != um1]
     right = [x for x in range(chi2.n) if x != r2 and x != up2]
-    x0 = len(left) + len(right)
+    nl = len(left)
+    x0 = nl + len(right)
     root3 = x0 + 1
     n3 = root3 + 1  # == n1 + n2 - 2
-
-    from_left = {x: i for i, x in enumerate(left)}
-    from_right = {x: len(left) + i for i, x in enumerate(right)}
-    from_left[um1] = x0
-    from_right[up2] = x0
-    from_left[r1] = root3
-    from_right[r2] = root3
-
-    # result label -> non-root operand label (x0 has a preimage on both sides)
-    pre1 = {v: k for k, v in from_left.items() if k != r1}
-    pre2 = {v: k for k, v in from_right.items() if k != r2}
+    m1 = left + [None] * len(right) + [um1, r1]
+    m2 = [None] * nl + right + [up2, r2]
 
     s1 = chi1._sign
     s2 = chi2._sign
-    g1 = pre1.get
-    g2 = pre2.get
     mix = -1 if negate_mixed else 1
 
     table = {}
     for a, b, c in combinations(range(n3), 3):
-        if c == root3:
-            la, lb = g1(a), g1(b)
-            if la is not None and lb is not None:
-                s = s1(la, lb, r1)
-            else:
-                ra, rb = g2(a), g2(b)
-                if ra is not None and rb is not None:
-                    s = s2(ra, rb, r2)
-                elif la is not None:
-                    s = 1      # left element, then right element, then root
-                else:
-                    s = -1     # right element first: odd permutation of above
-        else:
-            la, lb, lc = g1(a), g1(b), g1(c)
-            if la is not None and lb is not None and lc is not None:
-                s = s1(la, lb, lc)
-            else:
-                ra, rb, rc = g2(a), g2(b), g2(c)
-                if ra is not None and rb is not None and rc is not None:
-                    s = s2(ra, rb, rc)
-                elif (la is None) + (lb is None) + (lc is None) == 1:
-                    # one strictly-right element: orient it into last position
-                    if lc is None:
-                        s = mix * s1(la, lb, r1)
-                    elif lb is None:
-                        s = -mix * s1(la, lc, r1)
-                    else:
-                        s = mix * s1(lb, lc, r1)
-                else:
-                    # one strictly-left element: orient it into first position
-                    if ra is None:
-                        s = mix * s2(r2, rb, rc)
-                    elif rb is None:
-                        s = -mix * s2(r2, ra, rc)
-                    else:
-                        s = mix * s2(r2, ra, rb)
+        if a >= nl:  # a is right or x0: all on side 2
+            s = s2(m2[a], m2[b], m2[c])
+        elif m1[c] is not None and m1[b] is not None:  # all on side 1
+            s = s1(m1[a], m1[b], m1[c])
+        elif b < nl:  # (left, left, right)
+            s = mix * s1(m1[a], m1[b], r1)
+        elif c == root3:  # (left, right, root)
+            s = 1
+        elif c == x0:  # (left, right, x0)
+            s = -mix * s1(m1[a], um1, r1)
+        else:  # (left, right, right)
+            s = mix * s2(r2, m2[b], m2[c])
         table[(a, b, c)] = s
 
     rc = RootedChirotope(Chirotope(n3, table), root3)
+    from_left = {x: i for i, x in enumerate(m1) if x is not None}
+    from_right = {x: i for i, x in enumerate(m2) if x is not None}
     return rc, LabelMap(from_left, from_right, x0, root3)
 
 
@@ -240,8 +213,7 @@ def double_circle_points(k: int) -> PointSet:
     for a, b, c in combinations(range(2 * k), 3):
         if c < k:
             continue
-        (ax, ay), (bx, by), (qx, qy) = limit[a], limit[b], limit[c]
-        d = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
+        d = det(limit[a], limit[b], limit[c])
         if d != 0 and (d > 0) != (chi._sign(a, b, c) > 0):
             raise ConstructionFailed(
                 f"double circle k={k}: orientation ({a}, {b}, {c}) differs "

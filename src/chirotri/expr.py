@@ -402,21 +402,26 @@ def _build(e: Atom) -> RootedChirotope:
     return build(*e.args)
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or a power-of-two lower bound for it past Python's
+    int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 def _materialize_ops(cap: int) -> dict:
     """Node type -> compose operation; every result above ``cap`` elements,
     and every generator that would build one, is refused."""
     def refuse(size):
         raise TooLarge(
             f"materialized result has {size} elements, above the oracle "
-            f"cap {cap}; use the polynomial mode")
+            f"cap {_decimal(cap)}; use the polynomial mode")
 
     def fit(n):
         if n is not None and n > cap:
-            try:
-                size = str(n)
-            except ValueError:  # past Python's int-to-str digit limit
-                size = f"at least 2^{n.bit_length() - 1}"
-            refuse(size)
+            refuse(_decimal(n))
 
     def capped(rc):
         fit(rc.chi.n)

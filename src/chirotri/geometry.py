@@ -14,13 +14,19 @@ from .errors import GeneralPositionViolation, MalformedFile
 Point = tuple[Fraction, Fraction]
 
 
+def det(p, q, r):
+    """The orientation determinant (q - p) x (r - p): positive when (p, q, r)
+    turns counterclockwise, negative when clockwise, zero when collinear."""
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
 def orient(p, q, r) -> int:
     """Orientation of the ordered triple (p, q, r).
 
     Returns +1 if counterclockwise, -1 if clockwise. Raises
     GeneralPositionViolation on a collinear (or degenerate) triple.
     """
-    d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    d = det(p, q, r)
     if d == 0:
         raise GeneralPositionViolation(f"collinear points {p}, {q}, {r}")
     return 1 if d > 0 else -1
@@ -107,13 +113,9 @@ def convex_hull_labels(ps: PointSet) -> list[int]:
     def half(idxs):
         out = []
         for i in idxs:
-            while len(out) >= 2:
-                d = ((ps[out[-1]][0] - ps[out[-2]][0]) * (ps[i][1] - ps[out[-2]][1])
-                     - (ps[out[-1]][1] - ps[out[-2]][1]) * (ps[i][0] - ps[out[-2]][0]))
-                if d <= 0:  # clockwise or straight: drop
-                    out.pop()
-                else:
-                    break
+            # drop clockwise or straight turns
+            while len(out) >= 2 and det(ps[out[-2]], ps[out[-1]], ps[i]) <= 0:
+                out.pop()
             out.append(i)
         return out
 

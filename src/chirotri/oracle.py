@@ -3,15 +3,17 @@
 Triangulations are the inclusion-maximal families of pairwise non-crossing
 segments; they are enumerated by deterministic backtracking over segments in
 lexicographic order against precomputed crossing bitmasks. Those are built
-from side masks: for each segment, the segments at the points on its left and
-those at the points on its right, so one sign lookup per segment and point
-finds every segment it splits, and two segments cross when each splits the
-other. A segment that crosses nothing is in every family and is chosen before
-the search starts. A segment may only be skipped if some chosen segment
-crosses it, so every maximal family is produced exactly once. A branch is
-abandoned as soon as a skipped segment has no crosser left that could still
-be chosen; such a branch yields nothing, so the output sequence is that of
-the unpruned search, order included.
+from the chirotope's side masks: for each segment, the segments at the points
+on its left and those at the points on its right, so the segments it splits
+are the ones in both, and two segments cross when each splits the other. A
+weak triangulation adds the phantom element opposite the root; its side
+masks follow from the root's, and no phantom sign table is built. A segment
+that crosses nothing is in every family and is chosen before the search
+starts. A segment may only be skipped if some chosen segment crosses it, so
+every maximal family is produced exactly once. A branch is abandoned as
+soon as a skipped segment has no crosser left that could still be chosen;
+such a branch yields nothing, so the output sequence is that of the unpruned
+search, order included.
 
 This module is the ground truth that every recursive counting formula in the
 package is tested against; it is deliberately simple and size-capped.
@@ -21,40 +23,19 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .chirotope import Chirotope, RootedChirotope, table_sign
+from .chirotope import Chirotope, RootedChirotope, _bits
 from .errors import OracleTooLarge
 from .polynomials import BivarPoly, UnivarPoly
 
 DEFAULT_ORACLE_CAP = 12
 
 
-class WeakGround:
-    """Ground set of a rooted chirotope extended by the root's opposite phantom.
-
-    The phantom element v gets label n; triples (x, y, v) with x, y non-root
-    are oriented opposite to (x, y, root), and triples holding both the root
-    and v are undefined. Segments at the root never cross segments at v, so
-    crossing queries never touch an undefined triple. The segment (root, v)
-    itself is excluded from every candidate family.
-    """
-
-    __slots__ = ("rc", "v", "table")
-
-    def __init__(self, rc: RootedChirotope):
-        self.rc = rc
-        self.v = v = rc.chi.n
-        base = rc.chi._table
-        self.table = dict(base)
-        for x, y in combinations(range(v), 2):
-            if rc.root not in (x, y):
-                self.table[(x, y, v)] = -table_sign(base, x, y, rc.root)
-
-
 def _ground(obj, cap):
     """(segments, crossing masks, incidence masks) for one oracle search.
 
     A Chirotope is searched over its own labels, a RootedChirotope over its
-    WeakGround. masks[i] is the bitmask of the segments crossing segment i;
+    labels and the phantom v = n opposite its root, without the segment
+    (root, v). masks[i] is the bitmask of the segments crossing segment i;
     inc[x] is that of the segments with endpoint x.
     """
     limit = DEFAULT_ORACLE_CAP if cap is None else cap
@@ -63,30 +44,38 @@ def _ground(obj, cap):
             f"{obj.n} elements exceeds the oracle cap {limit}; pass a larger "
             f"cap to override")
     if isinstance(obj, Chirotope):
-        n, table, r, v = obj.n, obj._table, -1, -1
+        pos, r, v = obj._sides(), -1, -1
     else:
-        wg = WeakGround(obj)
-        n, table, r, v = wg.v + 1, wg.table, obj.root, wg.v
+        # Side masks extended by v, where sign(x, y, v) = -sign(x, y, root):
+        # v is in pos[a][b] iff the root is in pos[b][a], for a, b != root;
+        # pos[a][v] = pos[root][a] and pos[v][a] = pos[a][root]; and no mask
+        # at the root gets v, since triples holding both are undefined. The
+        # masks never hold their own pair, so the first identity adds v to
+        # no mask at the root.
+        pos, r, v = obj.chi._sides(), obj.root, obj.n
+        rbit, vbit = 1 << r, 1 << v
+        for a, row in enumerate(pos):
+            for b in range(v):
+                if pos[b][a] & rbit:
+                    row[b] |= vbit
+            row.append(pos[r][a])
+        pos.append([row[r] for row in pos] + [0])
+    n = len(pos)
     segs = [p for p in combinations(range(n), 2) if p != (r, v)]
     inc = [0] * n
     for i, (a, b) in enumerate(segs):
         inc[a] |= 1 << i
         inc[b] |= 1 << i
-    # split[i]: the segments with one endpoint on each side of segment i. A
-    # segment at the root skips v and one at v skips the root, so undefined
-    # triples are never read and root-side and phantom-side segments never
-    # cross.
+    # split[i]: the segments with one endpoint on each side of segment i.
+    # Undefined triples are in no mask, so root-side and phantom-side
+    # segments never cross.
     split = []
     for a, b in segs:
-        skip = v if r in (a, b) else r if b == v else -1
         left = right = 0
-        for c in range(n):
-            if c == a or c == b or c == skip:
-                continue
-            if table_sign(table, a, b, c) > 0:
-                left |= inc[c]
-            else:
-                right |= inc[c]
+        for c in _bits(pos[a][b]):
+            left |= inc[c]
+        for c in _bits(pos[b][a]):
+            right |= inc[c]
         split.append(left & right)
     # two segments cross when each splits the other
     masks = [0] * len(segs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GeneralPositionViolation, MalformedFile, OutOfRange
-from .geometry import PointSet
+from .geometry import PointSet, det
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,7 @@ def default_width(n: int) -> int:
 
 
 def _is_general_position(coords) -> bool:
-    for (ax, ay), (bx, by), (cx, cy) in combinations(coords, 3):
-        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0:
-            return False
-    return True
+    return all(det(p, q, r) for p, q, r in combinations(coords, 3))
 
 
 def iter_order_types(data: bytes, n: int, width: int | None = None,
@@ -93,5 +90,9 @@ def serialize_order_types(records, width: int | None = None) -> bytes:
         if rec.n != n:
             raise MalformedFile("records of mixed size")
         flat = [v for pair in rec.coords for v in pair]
-        out.extend(struct.pack(fmt, *flat))
+        try:
+            out.extend(struct.pack(fmt, *flat))
+        except struct.error as exc:
+            raise OutOfRange(
+                f"record {rec.index} does not fit width {width}: {exc}") from None
     return bytes(out)

@@ -5,8 +5,7 @@ from math import comb
 
 import mpmath as mp
 
-from chirotri import (Chirotope, PointSet, RootedChirotope, WeakGround,
-                      chirotope_from_points)
+from chirotri import Chirotope, PointSet, RootedChirotope, chirotope_from_points
 from chirotri.chirotope import table_sign
 
 
@@ -32,6 +31,15 @@ def random_rooted(n, rng, span=60) -> RootedChirotope:
     chi = chirotope_from_points(random_point_set(n, rng, span))
     root = rng.choice(sorted(chi.extreme_elements()))
     return RootedChirotope(chi, root)
+
+
+def with_flips(chi, flips, rng) -> Chirotope:
+    """A copy of ``chi`` with ``flips`` distinct sorted triples negated; it
+    is usually no longer a chirotope of any point set."""
+    table = dict(chi.items())
+    for t in rng.sample(sorted(table), flips):
+        table[t] = -table[t]
+    return Chirotope(chi.n, table)
 
 
 def chi1_fixture_points() -> PointSet:
@@ -68,14 +76,19 @@ def crossing_masks_pairwise(obj):
     masks) with every pair of segments tested for a crossing.
 
     A Chirotope is searched over its own labels, a RootedChirotope over its
-    WeakGround. masks[i] is the bitmask of the segments crossing segment i;
-    inc[x] is that of the segments with endpoint x.
+    labels and the phantom v = n, with (x, y, v) oriented opposite to
+    (x, y, root) and no triple holding both. masks[i] is the bitmask of the
+    segments crossing segment i; inc[x] is that of the segments with
+    endpoint x.
     """
     if isinstance(obj, Chirotope):
         n, table, r, v = obj.n, obj._table, -1, -1
     else:
-        wg = WeakGround(obj)
-        n, table, r, v = wg.v + 1, wg.table, obj.root, wg.v
+        r, v = obj.root, obj.n
+        n, table = v + 1, dict(obj.chi._table)
+        for x, y in combinations(range(v), 2):
+            if r not in (x, y):
+                table[(x, y, v)] = -table_sign(table, x, y, r)
     segs = [p for p in combinations(range(n), 2) if p != (r, v)]
     m = len(segs)
     masks = [0] * m
@@ -94,6 +107,16 @@ def crossing_masks_pairwise(obj):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return segs, masks, inc
+
+
+def hull_witnesses_spec(chi, x):
+    """Spec for ``Chirotope._witnesses``: (ys with sign(x, y, z) = +1 for
+    every z, ys with sign(x, y, z) = -1 for every z), each ascending, the
+    signs read one by one through ``chi.sign``."""
+    others = [y for y in range(chi.n) if y != x]
+    return tuple([y for y in others
+                  if all(chi.sign(x, y, z) == s for z in others if z != y)]
+                 for s in (1, -1))
 
 
 def iter_maximal_unpruned(masks):

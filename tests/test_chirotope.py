@@ -15,7 +15,8 @@ from chirotri import (Chirotope, GeneralPositionViolation, InvalidTriple,
                       read_chi, segments_cross, write_chi)
 from chirotri.chirotope import sorted_triples
 
-from helpers import axiom_violations_spec, chi1_fixture_points, random_point_set
+from helpers import (axiom_violations_spec, chi1_fixture_points,
+                     hull_witnesses_spec, random_point_set, with_flips)
 
 
 def test_orient_basic():
@@ -150,6 +151,35 @@ def test_extremes_match_geometric_hull():
             up, um = rc.hull_neighbors()
             assert up == hull[(pos + 1) % h]
             assert um == hull[(pos - 1) % h]
+
+
+def test_hull_witnesses_match_literal_spec():
+    # the side-mask row test against sign-by-sign reads, on valid tables and
+    # on tables with three signs flipped, where an extreme element can lack
+    # one of its two witnesses
+    rng = random.Random(31)
+    tables = []
+    for n in range(3, 10):
+        for _ in range(3):
+            chi = chirotope_from_points(random_point_set(n, rng))
+            tables.append(chi)
+            if n >= 5:
+                tables.append(with_flips(chi, 3, rng))
+    one_sided = 0
+    for chi in tables:
+        spec = {x: hull_witnesses_spec(chi, x) for x in range(chi.n)}
+        assert all(chi._witnesses(x) == spec[x] for x in range(chi.n))
+        assert chi.extreme_elements() == {x for x in spec if any(spec[x])}
+        for x in chi.extreme_elements():
+            plus, minus = spec[x]
+            rc = RootedChirotope(chi, x)
+            if plus and minus:
+                assert rc.hull_neighbors() == (plus[0], minus[0])
+            else:
+                one_sided += 1
+                with pytest.raises(NotARootedChirotope):
+                    rc.hull_neighbors()
+    assert one_sided > 0
 
 
 def test_hull_neighbors_examples():

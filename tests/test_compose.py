@@ -1,5 +1,6 @@
 """Join / twist / meet operations and the generator families."""
 
+import hashlib
 import random
 from itertools import permutations
 
@@ -12,7 +13,7 @@ from chirotri import (GeneralPositionViolation, OutOfRange, PointSet,
                       brute_P, brute_Q, chi1, chi_k, chirotope_from_points,
                       convex, count_triangulations, double_circle,
                       double_circle_points, join, koch, meet, swap_vars,
-                      twist)
+                      twist, write_chi)
 
 from helpers import catalan, random_rooted
 
@@ -145,6 +146,23 @@ def test_meet_construction_paths_agree_random():
         for (a, b, c), s in m.chi.items():
             assert via_twists.chi.sign(perm[a], perm[b], perm[c]) == s, (a, b, c)
         assert m.chi.check_axioms().ok
+
+
+def test_merge_outputs_are_pinned():
+    # sha256 prefix over the join and meet tables and label maps of 50 seeded
+    # random operand pairs of 3 to 8 points
+    rng = random.Random(211)
+    h = hashlib.sha256()
+    for _ in range(50):
+        rc1 = random_rooted(rng.randrange(3, 9), rng)
+        rc2 = random_rooted(rng.randrange(3, 9), rng)
+        for op in (join, meet):
+            rc, lmap = op(rc1, rc2)
+            h.update(write_chi(rc.chi, rc.root).encode())
+            h.update(repr((sorted(lmap.from_left.items()),
+                           sorted(lmap.from_right.items()),
+                           lmap.x0, lmap.new_root)).encode())
+    assert h.hexdigest()[:16] == "5ac2ed8e8464e175"
 
 
 def test_compose_axiom_preservation_randomized():

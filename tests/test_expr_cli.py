@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from chirotri import (Chirotope, EvalMode, ExprSyntaxError,
                       GeneralPositionViolation, MalformedFile, OracleTooLarge,
-                      OrderTypeRecord, PointSet, RootedChirotope, TooLarge,
-                      brute_Q, chi1, chirotope_from_points, convex,
+                      OrderTypeRecord, OutOfRange, PointSet, RootedChirotope,
+                      TooLarge, brute_Q, chi1, chirotope_from_points, convex,
                       count_triangulations, eval_expr, iter_order_types,
                       koch_variant_search, meet, meet_P, parse_expr,
                       print_expr, q_from_p, rank_candidates, read_order_types,
@@ -218,6 +218,12 @@ def test_order_types_roundtrip_16bit(tmp_path):
     records, skipped = read_order_types(path, 9)  # defaults to 16-bit here
     assert not skipped and len(records) == 2
     assert serialize_order_types(records) == data
+    # a coordinate that does not fit the width is refused, naming the record
+    for bad, width in (((300, 1), 8), ((-1, 0), 8), ((0, 70000), 16)):
+        recs = [OrderTypeRecord(0, 3, ((0, 0), (9, 1), (4, 7))),
+                OrderTypeRecord(1, 3, ((0, 0), (9, 1), bad))]
+        with pytest.raises(OutOfRange, match=f"record 1 .*width {width}"):
+            serialize_order_types(recs, width)
 
 
 @st.composite
@@ -482,6 +488,12 @@ def test_koch_past_the_cap_is_refused_without_building_its_count(capsys):
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+    # a cap past Python's int-to-str digit limit prints as a bound too
+    with pytest.raises(TooLarge, match=(
+            r"has at least 2\^20000 elements, above the oracle cap at least "
+            r"2\^14284; use")):
+        eval_expr(parse_expr("koch(20000)"), EvalMode.MATERIALIZE,
+                  oracle_cap=10 ** 4300)
 
 
 def test_cli_output_determinism(capsys):

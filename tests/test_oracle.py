@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chirotri import (BivarPoly, OracleTooLarge, RootedChirotope, UnivarPoly,
-                      WeakGround, brute_P, brute_Q, chi1, chi_k,
+                      brute_P, brute_Q, chi1, chi_k,
                       chirotope_from_points, convex, convex_hull_labels,
                       double_circle, enumerate_triangulations, enumerate_weak,
                       q_from_p, segments_cross)
 from chirotri.oracle import _ground, _iter_maximal
 
 from helpers import (catalan, crossing_masks_pairwise, iter_maximal_unpruned,
-                     random_point_set, random_rooted)
+                     random_point_set, random_rooted, with_flips)
 
 
 def test_enumerate_counts():
@@ -94,8 +94,7 @@ def test_weak_cardinality_constancy_random():
 
 def test_every_triangulation_extends_uniquely_convex5():
     rc = convex(5)
-    wg = WeakGround(rc)
-    v = wg.v
+    v = rc.chi.n
     tris = list(enumerate_triangulations(rc.chi))
     weaks = list(enumerate_weak(rc))
     min_v_deg = min(sum(1 for s in w if v in s) for w in weaks)
@@ -144,6 +143,13 @@ def test_ground_matches_pairwise_spec():
     for n in range(4, 11):
         for _ in range(2):
             chi = chirotope_from_points(random_point_set(n, rng))
+            rooted += [RootedChirotope(chi, r)
+                       for r in sorted(chi.extreme_elements())]
+    # tables with three signs flipped, rooted at each extreme element
+    for n in range(5, 10):
+        for _ in range(3):
+            chi = with_flips(chirotope_from_points(random_point_set(n, rng)),
+                             3, rng)
             rooted += [RootedChirotope(chi, r)
                        for r in sorted(chi.extreme_elements())]
     for rc in rooted:
