@@ -1,12 +1,12 @@
-"""Abstract chirotopes: exact orientation tables over triples of labels.
+"""Abstract chirotopes: exact orientation signs over triples of labels.
 
-A chirotope on n elements stores one sign per sorted triple (i < j < k);
-queries on arbitrary orderings apply the permutation parity, so the
-alternating symmetry holds by construction. One pass over the table gives the
-side masks: for each ordered pair (a, b), the bitmask of the labels c with
-sign(a, b, c) = +1. Axiom checking (interiority and transitivity) is an
-exhaustive scan over them, and a hull witness of x is a y whose mask holds
-every other label (+) or none (-).
+A chirotope on n elements is stored as its side masks: for each ordered pair
+(a, b), the bitmask of the labels c with sign(a, b, c) = +1. The constructor
+takes one sign per sorted triple (i < j < k) and fills the masks in one pass;
+a sign query reads one bit, so the alternating symmetry holds by
+construction. Axiom checking (interiority and transitivity) is an exhaustive
+scan over the masks, and a hull witness of x is a y whose mask holds every
+other label (+) or none (-).
 """
 
 from __future__ import annotations
@@ -32,42 +32,10 @@ def _bits(mask):
         mask ^= low
 
 
-def table_sign(table, x, y, z):
-    """Sign of the ordered triple (x, y, z) in a table keyed by sorted triples."""
-    # manual 3-element sort, tracking the permutation parity
-    s = 1
-    if x > y:
-        x, y, s = y, x, -s
-    if y > z:
-        y, z, s = z, y, -s
-        if x > y:
-            x, y, s = y, x, -s
-    return s * table[(x, y, z)]
-
-
-def _hull_witnesses(pos, x) -> tuple[list, list]:
-    """(ys with pos[x][y] holding every label but x and y, ys with pos[x][y]
-    empty): the hull witnesses of x, read from side masks.
-
-    Each list holds at most one label, since sign(x, y1, y2) =
-    -sign(x, y2, y1); both are empty unless x is extreme.
-    """
-    row = pos[x]
-    rest = ((1 << len(row)) - 1) ^ (1 << x)
-    plus, minus = [], []
-    for y, mask in enumerate(row):
-        if y != x:
-            if mask == rest ^ (1 << y):
-                plus.append(y)
-            elif not mask:
-                minus.append(y)
-    return plus, minus
-
-
 class Chirotope:
-    """Immutable sign table over all sorted triples of 0..n-1."""
+    """Immutable chirotope on 0..n-1, stored as its side masks."""
 
-    __slots__ = ("n", "_table")
+    __slots__ = ("n", "_pos")
 
     def __init__(self, n: int, table: dict):
         if n < 3:
@@ -81,7 +49,16 @@ class Chirotope:
             if s not in (1, -1):
                 raise InvalidTriple(f"sign of {t} must be +1 or -1, got {s}")
         self.n = n
-        self._table = dict(table)
+        # _pos[a][b]: the bitmask of the c with sign(a, b, c) = +1; it never
+        # holds a or b
+        pos = [[0] * n for _ in range(n)]
+        for (i, j, k), s in table.items():
+            if s < 0:
+                i, j = j, i
+            pos[i][j] |= 1 << k
+            pos[j][k] |= 1 << i
+            pos[k][i] |= 1 << j
+        self._pos = pos
 
     # -- queries ---------------------------------------------------------
 
@@ -95,16 +72,18 @@ class Chirotope:
         return self._sign(x, y, z)
 
     def _sign(self, x, y, z):
-        return table_sign(self._table, x, y, z)
+        return 1 if self._pos[x][y] >> z & 1 else -1
 
     def items(self):
         """(sorted triple, sign) pairs in lexicographic order."""
+        pos = self._pos
         for t in sorted_triples(self.n):
-            yield t, self._table[t]
+            i, j, k = t
+            yield t, 1 if pos[i][j] >> k & 1 else -1
 
     def __eq__(self, other):
         return (isinstance(other, Chirotope) and self.n == other.n
-                and self._table == other._table)
+                and self._pos == other._pos)
 
     def __repr__(self):
         return f"Chirotope(n={self.n})"
@@ -113,7 +92,7 @@ class Chirotope:
 
     def flipped(self) -> "Chirotope":
         """Chirotope with every orientation reversed."""
-        return Chirotope(self.n, {t: -s for t, s in self._table.items()})
+        return Chirotope(self.n, {t: -s for t, s in self.items()})
 
     def restrict(self, keep) -> tuple["Chirotope", dict]:
         """Restriction to a label subset, relabeled densely in increasing order.
@@ -127,31 +106,30 @@ class Chirotope:
             raise InvalidTriple(f"labels out of range in {kept}")
         table = {}
         for (a, b, c) in combinations(range(len(kept)), 3):
-            table[(a, b, c)] = self._table[(kept[a], kept[b], kept[c])]
+            table[(a, b, c)] = self._sign(kept[a], kept[b], kept[c])
         return Chirotope(len(kept), table), {old: new for new, old in enumerate(kept)}
 
     def extreme_elements(self) -> frozenset:
         """Labels x admitting a witness y with sign(x, y, z) constant over z."""
-        pos = self._sides()
-        return frozenset(x for x in range(self.n)
-                         if any(_hull_witnesses(pos, x)))
+        return frozenset(x for x in range(self.n) if any(self._witnesses(x)))
 
     def _witnesses(self, x) -> tuple[list, list]:
-        """(ys with sign(x, y, z) = +1 for every z, ys with constant sign -1)."""
-        return _hull_witnesses(self._sides(), x)
+        """(ys with sign(x, y, z) = +1 for every z, ys with constant sign -1),
+        read from row x of the side masks: pos[x][y] holds every label but x
+        and y, or none.
 
-    def _sides(self) -> list[list[int]]:
-        """pos[a][b], the bitmask of the c with sign(a, b, c) = +1, from one
-        pass over the table; it never holds a or b."""
-        n = self.n
-        pos = [[0] * n for _ in range(n)]
-        for (i, j, k), s in self._table.items():
-            if s < 0:
-                i, j = j, i
-            pos[i][j] |= 1 << k
-            pos[j][k] |= 1 << i
-            pos[k][i] |= 1 << j
-        return pos
+        Each list holds at most one label, since sign(x, y1, y2) =
+        -sign(x, y2, y1); both are empty unless x is extreme.
+        """
+        rest = ((1 << self.n) - 1) ^ (1 << x)
+        plus, minus = [], []
+        for y, mask in enumerate(self._pos[x]):
+            if y != x:
+                if mask == rest ^ (1 << y):
+                    plus.append(y)
+                elif not mask:
+                    minus.append(y)
+        return plus, minus
 
     # -- axiom scan ------------------------------------------------------
 
@@ -161,7 +139,7 @@ class Chirotope:
         degenerate tuple is produced.
         """
         n = self.n
-        pos = self._sides()
+        pos = self._pos
 
         # interiority over ordered (x, y, z, t), z in pos[y][x] (sign(x,y,z) = -1):
         #   sign(t,y,z) = sign(x,t,z) = sign(x,y,t) = 1  requires  sign(x,y,z) = 1

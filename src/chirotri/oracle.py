@@ -3,17 +3,18 @@
 Triangulations are the inclusion-maximal families of pairwise non-crossing
 segments; they are enumerated by deterministic backtracking over segments in
 lexicographic order against precomputed crossing bitmasks. Those are built
-from the chirotope's side masks: for each segment, the segments at the points
-on its left and those at the points on its right, so the segments it splits
-are the ones in both, and two segments cross when each splits the other. A
-weak triangulation adds the phantom element opposite the root; its side
-masks follow from the root's, and no phantom sign table is built. A segment
-that crosses nothing is in every family and is chosen before the search
-starts. A segment may only be skipped if some chosen segment crosses it, so
-every maximal family is produced exactly once. A branch is abandoned as
-soon as a skipped segment has no crosser left that could still be chosen;
-such a branch yields nothing, so the output sequence is that of the unpruned
-search, order included.
+from the side masks the chirotope stores, read as they are: for each
+segment, the segments at the points on its left and those at the points on
+its right, so the segments it splits are the ones in both, and two segments
+cross when each splits the other. A weak triangulation adds the phantom
+element opposite the root; its side masks follow from the root's, in
+extended copies of the stored rows, and no phantom sign table is built. A
+segment that crosses nothing is in every family and is chosen before the
+search starts. A segment may only be skipped if some chosen segment crosses
+it, so every maximal family is produced exactly once. A branch is abandoned
+as soon as a skipped segment has no crosser left that could still be
+chosen; such a branch yields nothing, so the output sequence is that of the
+unpruned search, order included.
 
 This module is the ground truth that every recursive counting formula in the
 package is tested against; it is deliberately simple and size-capped.
@@ -44,22 +45,20 @@ def _ground(obj, cap):
             f"{obj.n} elements exceeds the oracle cap {limit}; pass a larger "
             f"cap to override")
     if isinstance(obj, Chirotope):
-        pos, r, v = obj._sides(), -1, -1
+        pos, r, v = obj._pos, -1, -1
     else:
-        # Side masks extended by v, where sign(x, y, v) = -sign(x, y, root):
-        # v is in pos[a][b] iff the root is in pos[b][a], for a, b != root;
+        # Side masks extended by v, where sign(x, y, v) = -sign(x, y, root),
+        # in new rows, so the chirotope's own masks stay as they are: v is in
+        # pos[a][b] iff b is in pos[a][root], for a, b != root;
         # pos[a][v] = pos[root][a] and pos[v][a] = pos[a][root]; and no mask
         # at the root gets v, since triples holding both are undefined. The
         # masks never hold their own pair, so the first identity adds v to
         # no mask at the root.
-        pos, r, v = obj.chi._sides(), obj.root, obj.n
-        rbit, vbit = 1 << r, 1 << v
-        for a, row in enumerate(pos):
-            for b in range(v):
-                if pos[b][a] & rbit:
-                    row[b] |= vbit
-            row.append(pos[r][a])
-        pos.append([row[r] for row in pos] + [0])
+        own, r, v = obj.chi._pos, obj.root, obj.n
+        vbit = 1 << v
+        pos = [[m | vbit if row[r] >> b & 1 else m for b, m in enumerate(row)]
+               + [own[r][a]] for a, row in enumerate(own)]
+        pos.append([row[r] for row in own] + [0])
     n = len(pos)
     segs = [p for p in combinations(range(n), 2) if p != (r, v)]
     inc = [0] * n

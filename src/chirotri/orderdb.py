@@ -30,6 +30,15 @@ def default_width(n: int) -> int:
     return 8 if n <= 8 else 16
 
 
+def _record_struct(n: int, width: int | None):
+    """(width, struct of one n-point record); the width defaults by n, and
+    only 8 and 16 bits are accepted."""
+    width = default_width(n) if width is None else width
+    if width not in (8, 16):
+        raise OutOfRange(f"width must be 8 or 16 bits, got {width}")
+    return width, struct.Struct("<" + ("B" if width == 8 else "H") * (2 * n))
+
+
 def _is_general_position(coords) -> bool:
     return all(det(p, q, r) for p, q, r in combinations(coords, 3))
 
@@ -44,17 +53,13 @@ def iter_order_types(data: bytes, n: int, width: int | None = None,
     """
     if n < 3:
         raise OutOfRange(f"need n >= 3, got {n}")
-    width = default_width(n) if width is None else width
-    if width not in (8, 16):
-        raise OutOfRange(f"width must be 8 or 16 bits, got {width}")
-    rec_bytes = n * 2 * (width // 8)
-    if len(data) % rec_bytes != 0:
+    width, layout = _record_struct(n, width)
+    if len(data) % layout.size != 0:
         raise MalformedFile(
             f"file size {len(data)} is not a multiple of the record size "
-            f"{rec_bytes} (n={n}, width={width})")
-    fmt = "<" + ("B" if width == 8 else "H") * (2 * n)
-    for idx in range(len(data) // rec_bytes):
-        values = struct.unpack_from(fmt, data, idx * rec_bytes)
+            f"{layout.size} (n={n}, width={width})")
+    for idx in range(len(data) // layout.size):
+        values = layout.unpack_from(data, idx * layout.size)
         coords = tuple((values[2 * i], values[2 * i + 1]) for i in range(n))
         if not _is_general_position(coords):
             if lenient:
@@ -80,18 +85,15 @@ def read_order_types(path, n: int, width: int | None = None,
 
 def serialize_order_types(records, width: int | None = None) -> bytes:
     """Inverse of the reader; round-trips a parsed file byte-for-byte."""
-    if not records:
-        return b""
-    n = records[0].n
-    width = default_width(n) if width is None else width
-    fmt = "<" + ("B" if width == 8 else "H") * (2 * n)
+    n = records[0].n if records else 0
+    width, layout = _record_struct(n, width)
     out = bytearray()
     for rec in records:
         if rec.n != n:
             raise MalformedFile("records of mixed size")
         flat = [v for pair in rec.coords for v in pair]
         try:
-            out.extend(struct.pack(fmt, *flat))
+            out.extend(layout.pack(*flat))
         except struct.error as exc:
             raise OutOfRange(
                 f"record {rec.index} does not fit width {width}: {exc}") from None

@@ -6,7 +6,6 @@ from math import comb
 import mpmath as mp
 
 from chirotri import Chirotope, PointSet, RootedChirotope, chirotope_from_points
-from chirotri.chirotope import table_sign
 
 
 def catalan(n: int) -> int:
@@ -31,6 +30,19 @@ def random_rooted(n, rng, span=60) -> RootedChirotope:
     chi = chirotope_from_points(random_point_set(n, rng, span))
     root = rng.choice(sorted(chi.extreme_elements()))
     return RootedChirotope(chi, root)
+
+
+def table_sign(table, x, y, z):
+    """Spec for ``Chirotope.sign``: the sign of the ordered triple (x, y, z)
+    in a table keyed by sorted triples, times the parity of the sort."""
+    s = 1
+    if x > y:
+        x, y, s = y, x, -s
+    if y > z:
+        y, z, s = z, y, -s
+        if x > y:
+            x, y, s = y, x, -s
+    return s * table[(x, y, z)]
 
 
 def with_flips(chi, flips, rng) -> Chirotope:
@@ -82,10 +94,10 @@ def crossing_masks_pairwise(obj):
     endpoint x.
     """
     if isinstance(obj, Chirotope):
-        n, table, r, v = obj.n, obj._table, -1, -1
+        n, table, r, v = obj.n, dict(obj.items()), -1, -1
     else:
         r, v = obj.root, obj.n
-        n, table = v + 1, dict(obj.chi._table)
+        n, table = v + 1, dict(obj.chi.items())
         for x, y in combinations(range(v), 2):
             if r not in (x, y):
                 table[(x, y, v)] = -table_sign(table, x, y, r)

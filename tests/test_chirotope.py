@@ -1,6 +1,7 @@
 """Core chirotope structure: orientation, axioms, extremes, crossing, formats."""
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 from math import comb
 
@@ -10,13 +11,15 @@ from hypothesis import strategies as st
 
 from chirotri import (Chirotope, GeneralPositionViolation, InvalidTriple,
                       NotARootedChirotope, PointSet, RootedChirotope,
-                      SharedEndpoint, TooSmall, chirotope_from_points, convex,
-                      convex_hull_labels, count_triangulations, orient,
-                      read_chi, segments_cross, write_chi)
+                      SharedEndpoint, TooSmall, brute_P, chirotope_from_points,
+                      convex, convex_hull_labels, count_triangulations,
+                      enumerate_weak, orient, read_chi, segments_cross, twist,
+                      write_chi)
 from chirotri.chirotope import sorted_triples
 
 from helpers import (axiom_violations_spec, chi1_fixture_points,
-                     hull_witnesses_spec, random_point_set, with_flips)
+                     hull_witnesses_spec, random_point_set, table_sign,
+                     with_flips)
 
 
 def test_orient_basic():
@@ -304,6 +307,63 @@ def test_pts_format_roundtrip(points):
     assert PointSet.from_text(ps.to_text()) == ps
     parsed = PointSet.from_text("0 0\n# comment\n2 3\n1/3 2\n")
     assert len(parsed) == 3
+
+
+def test_side_masks_answer_like_the_input_table():
+    # the stored side masks against the sorted-triple table they were built
+    # from, on valid tables and on tables with three signs flipped (drawn as
+    # with_flips draws them, keeping the input table)
+    rng = random.Random(53)
+    tables = []
+    for n in range(3, 10):
+        for _ in range(3):
+            ps = random_point_set(n, rng)
+            table = {(i, j, k): orient(ps[i], ps[j], ps[k])
+                     for i, j, k in sorted_triples(n)}
+            tables.append((n, table))
+            if n >= 4:
+                flipped = dict(table)
+                for t in rng.sample(sorted(table), 3):
+                    flipped[t] = -flipped[t]
+                tables.append((n, flipped))
+    rooted = 0
+    for n, table in tables:
+        chi = Chirotope(n, table)
+        assert list(chi.items()) == sorted(table.items())
+        assert all(chi.sign(*p) == table_sign(table, *p)
+                   for p in permutations(range(n), 3))
+        assert dict(chi.flipped().items()) == {t: -s for t, s in table.items()}
+        keep = sorted(rng.sample(range(n), rng.randint(3, n)))
+        sub, _ = chi.restrict(keep)
+        assert dict(sub.items()) == {
+            (a, b, c): table[(keep[a], keep[b], keep[c])]
+            for a, b, c in combinations(range(len(keep)), 3)}
+        count_triangulations(chi)
+        for root in sorted(chi.extreme_elements()):
+            rc = RootedChirotope(chi, root)
+            assert dict(twist(rc).chi.items()) == {
+                t: -s if root in t else s for t, s in table.items()}
+            brute_P(rc)
+            list(enumerate_weak(rc))
+            rooted += 1
+        # the oracle extends copies of the masks, never the stored ones
+        assert chi == Chirotope(n, table)
+    assert rooted > 100
+
+
+def test_chirotope_retains_only_its_side_masks():
+    # 60 elements: 3,600 masks of up to 60 bits, about 0.3 MB; a copy of the
+    # sorted-triple dict of its 34,220 signs takes about 1.4 MB
+    rng = random.Random(59)
+    table = {t: rng.choice((1, -1)) for t in sorted_triples(60)}
+    tracemalloc.start()
+    try:
+        chi = Chirotope(60, table)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert chi.n == 60
+    assert retained < 1_000_000
 
 
 def test_permutation_storage_consistency():

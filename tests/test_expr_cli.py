@@ -224,6 +224,14 @@ def test_order_types_roundtrip_16bit(tmp_path):
                 OrderTypeRecord(1, 3, ((0, 0), (9, 1), bad))]
         with pytest.raises(OutOfRange, match=f"record 1 .*width {width}"):
             serialize_order_types(recs, width)
+    # the writer refuses a width the reader refuses, with the reader's message
+    rec = [OrderTypeRecord(0, 3, ((0, 0), (9, 1), (4, 7)))]
+    for width in (12, 0):
+        message = f"width must be 8 or 16 bits, got {width}"
+        with pytest.raises(OutOfRange, match=message):
+            serialize_order_types(rec, width)
+        with pytest.raises(OutOfRange, match=message):
+            list(iter_order_types(bytes(12), 3, width))
 
 
 @st.composite
