@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import lcm
 
 from .errors import (GeneralPositionViolation, InvalidTriple, MalformedFile,
                      NotARootedChirotope, SharedEndpoint, TooSmall)
-from .geometry import PointSet, orient
+from .geometry import PointSet, det, orient
 
 
 def sorted_triples(n: int):
@@ -43,7 +44,14 @@ class Chirotope:
         expected = n * (n - 1) * (n - 2) // 6
         if len(table) != expected:
             raise InvalidTriple(f"table has {len(table)} entries, expected {expected}")
-        if table.keys() != set(sorted_triples(n)):
+        # the count is right, so the keys are the sorted triples exactly when
+        # each one is a triple of ints i < j < k in 0..n-1
+        try:
+            keys_ok = all(0 <= i < j < k < n and isinstance(i + j + k, int)
+                          for i, j, k in table)
+        except (TypeError, ValueError):
+            keys_ok = False
+        if not keys_ok:
             raise InvalidTriple(f"table keys are not the sorted triples of 0..{n - 1}")
         for t, s in table.items():
             if s not in (1, -1):
@@ -214,12 +222,21 @@ def chirotope_from_points(ps: PointSet) -> Chirotope:
     n = len(ps)
     if n < 3:
         raise TooSmall(f"need at least 3 points, got {n}")
+    # scaling every coordinate by one positive integer multiplies each
+    # determinant by its square, so integer determinants give the signs
+    scale = lcm(*(c.denominator for p in ps for c in p))
+    pts = [(x.numerator * (scale // x.denominator),
+            y.numerator * (scale // y.denominator)) for x, y in ps]
     table = {}
-    for i, j, k in sorted_triples(n):
-        try:
-            table[(i, j, k)] = orient(ps[i], ps[j], ps[k])
-        except GeneralPositionViolation as exc:
-            raise GeneralPositionViolation(f"labels ({i}, {j}, {k}): {exc}") from exc
+    for t in sorted_triples(n):
+        i, j, k = t
+        d = det(pts[i], pts[j], pts[k])
+        if d == 0:
+            try:
+                orient(ps[i], ps[j], ps[k])
+            except GeneralPositionViolation as exc:
+                raise GeneralPositionViolation(f"labels ({i}, {j}, {k}): {exc}") from exc
+        table[t] = 1 if d > 0 else -1
     return Chirotope(n, table)
 
 

@@ -73,22 +73,11 @@ def _step(c: list) -> tuple[list, int, int]:
     return [0, 0, t[2], *map(add, c[1:], t[2:]), c[-1]], rs[-1], t[1]
 
 
-def _dense(q: UnivarPoly) -> list:
-    row = [0] * (q.max_exp + 1)
-    for e, c in q.terms():
-        row[e] = c
-    return row
-
-
-def _sparse(row: list) -> UnivarPoly:
-    return UnivarPoly({e: c for e, c in enumerate(row) if c})
-
-
 def qk_step(q: UnivarPoly) -> UnivarPoly:
     """One recursion step: convolve the coefficients of q with N(d, 3)."""
     if q.is_zero() or q.min_exp < 2:
         raise OutOfRange("step input needs minimum exponent >= 2")
-    return _sparse(_step(_dense(q))[0])
+    return UnivarPoly.from_row(_step(q.row())[0])
 
 
 def _divide_by_u_minus_1(coeffs: list) -> tuple[list, int]:
@@ -115,13 +104,13 @@ def qk_step_closedform(q: UnivarPoly) -> UnivarPoly:
     deriv = q.deriv_at_one()
     mult = UnivarPoly({4: 1, 3: -1, 2: 1})
     num = (q - UnivarPoly({0: total})) * mult - deriv * UnivarPoly({3: 1, 2: -1})
-    dense = _dense(num)
+    dense = num.row()
     for _ in range(2):
         dense, rem = _divide_by_u_minus_1(dense)
         if rem != 0:
             raise InternalInvariantViolation(
                 "closed-form step: division by (u-1)^2 left a remainder")
-    return _sparse(dense)
+    return UnivarPoly.from_row(dense)
 
 
 def _rows(kmax: int):
@@ -165,7 +154,7 @@ class QkTable:
             raise OutOfRange(f"k={k} outside 1..{self.kmax}")
         for row, _, _ in _rows(k):
             pass
-        return _sparse(row)
+        return UnivarPoly.from_row(row)
 
     def total(self, k: int) -> int:
         return self.totals[k - 1]
@@ -343,7 +332,7 @@ def functional_equation_residual(x, u, terms: int = 80,
     with _workdps(dps):
         xm = _to_mpf(x)
         um = _to_mpf(u)
-        qu = [_sparse(row)(um) for row, _, _ in _rows(terms)]
+        qu = [UnivarPoly.from_row(row)(um) for row, _, _ in _rows(terms)]
         fu = _series(lambda k: qu[k - 1], terms, xm)
         f1 = f_series(xm, terms, table, dps=dps)
         df1 = df_series(xm, terms, table, dps=dps)

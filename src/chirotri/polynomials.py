@@ -1,7 +1,9 @@
-"""Sparse exact polynomials and the recursive triangulation-counting calculus.
+"""Exact polynomials and the recursive triangulation-counting calculus.
 
-Coefficients are Python ints (arbitrary precision) keyed by exponent; no zero
-coefficient is ever stored. The merge recursion combines the weak
+Coefficients are Python ints (arbitrary precision). A UnivarPoly is its
+lowest exponent plus the dense row of its coefficients from there, with no
+zero at either end; a BivarPoly maps (u-exponent, v-exponent) pairs to
+nonzero coefficients. The merge recursion combines the weak
 triangulation polynomials of two rooted chirotopes: terms of root degrees
 (d1, d2) recombine into root degrees given by the polynomial N(d1, d2), and
 the phantom-degree product is divided by the phantom variable exactly once
@@ -9,7 +11,8 @@ because the shared segment from the phantom to the merged hull point is
 counted on both sides.
 
 All merges run through one lattice-path recurrence (``_merge_core``) that
-costs O(D1*D2) operations for operand root degrees up to D1 and D2. A merge
+costs O(D1*D2) operations for operand root degrees up to D1 and D2 and
+works on lists indexed by root degree. A merge
 of two operands that factor as (polynomial in u) * (polynomial in v) returns
 a BivarPoly that keeps those two factors and expands its coefficients only
 when something reads them.
@@ -31,85 +34,135 @@ def _clean(d):
 
 
 class UnivarPoly:
-    """Univariate polynomial with integer coefficients, exponents >= 0."""
+    """Univariate polynomial with integer coefficients, exponents >= 0.
 
-    __slots__ = ("_c",)
+    Stored as its lowest exponent ``_lo`` and the dense row ``_r`` of its
+    coefficients from there on, with no zero at either end; the zero
+    polynomial is the empty row. A stored row is never changed, so
+    polynomials may share one.
+    """
+
+    __slots__ = ("_lo", "_r")
 
     def __init__(self, coeffs: dict | None = None):
         coeffs = coeffs or {}
         for e in coeffs:
             if not isinstance(e, int) or e < 0:
                 raise OutOfRange(f"bad exponent {e!r}")
-        self._c = _clean(coeffs)
+        live = [e for e, c in coeffs.items() if c]
+        self._lo = min(live, default=0)
+        self._r = [0] * (max(live) - self._lo + 1) if live else []
+        for e in live:
+            self._r[e - self._lo] = coeffs[e]
+
+    @classmethod
+    def from_row(cls, row: list, lo: int = 0) -> "UnivarPoly":
+        """The polynomial sum of row[i] * u^(lo + i). The list is kept, not
+        copied, so the caller must not change it afterwards."""
+        if lo < 0:
+            raise OutOfRange(f"bad exponent {lo!r}")
+        end = len(row)
+        while end and not row[end - 1]:
+            end -= 1
+        start = 0
+        while start < end and not row[start]:
+            start += 1
+        p = cls.__new__(cls)
+        p._lo = lo + start if end else 0
+        p._r = row if start == 0 and end == len(row) else row[start:end]
+        return p
+
+    def row(self) -> list:
+        """The coefficients as a new list indexed by exponent from 0."""
+        return [0] * self._lo + self._r
 
     def coeff(self, e: int) -> int:
-        return self._c.get(e, 0)
+        i = e - self._lo
+        return self._r[i] if 0 <= i < len(self._r) else 0
 
     def terms(self):
         """(exponent, coefficient) pairs, exponent-ascending."""
-        return sorted(self._c.items())
+        lo = self._lo
+        return [(lo + i, c) for i, c in enumerate(self._r) if c]
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._r
 
     @property
     def min_exp(self) -> int:
-        if not self._c:
+        if not self._r:
             raise EmptyInput("zero polynomial has no exponents")
-        return min(self._c)
+        return self._lo
 
     @property
     def max_exp(self) -> int:
-        if not self._c:
+        if not self._r:
             raise EmptyInput("zero polynomial has no exponents")
-        return max(self._c)
+        return self._lo + len(self._r) - 1
+
+    def _plus(self, lo2: int, r2: list) -> "UnivarPoly":
+        """self + sum of r2[i] * u^(lo2 + i)."""
+        if not r2:
+            return self
+        if not self._r:
+            return UnivarPoly.from_row(r2, lo2)
+        lo1, r1 = self._lo, self._r
+        lo = min(lo1, lo2)
+        out = [0] * (max(lo1 + len(r1), lo2 + len(r2)) - lo)
+        out[lo1 - lo:lo1 - lo + len(r1)] = r1
+        i = lo2 - lo
+        out[i:i + len(r2)] = map(add, out[i:i + len(r2)], r2)
+        return UnivarPoly.from_row(out, lo)
 
     def __add__(self, other):
-        out = dict(self._c)
-        for e, c in other._c.items():
-            out[e] = out.get(e, 0) + c
-        return UnivarPoly(out)
+        return self._plus(other._lo, other._r)
 
     def __sub__(self, other):
-        out = dict(self._c)
-        for e, c in other._c.items():
-            out[e] = out.get(e, 0) - c
-        return UnivarPoly(out)
+        return self._plus(other._lo, [-c for c in other._r])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return UnivarPoly({e: c * other for e, c in self._c.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in other._c.items():
-                k = e1 + e2
-                out[k] = out.get(k, 0) + c1 * c2
-        return UnivarPoly(out)
+            return UnivarPoly.from_row([c * other for c in self._r], self._lo)
+        short, long = ((self, other) if len(self._r) <= len(other._r)
+                       else (other, self))
+        if not short._r:
+            return short
+        lr = long._r
+        width = len(lr)
+        out = [0] * (len(short._r) + width - 1)
+        for i, c in enumerate(short._r):
+            if c:
+                out[i:i + width] = map(add, out[i:i + width],
+                                       map(c.__mul__, lr))
+        return UnivarPoly.from_row(out, short._lo + long._lo)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, UnivarPoly) and self._c == other._c
+        return (isinstance(other, UnivarPoly) and self._lo == other._lo
+                and self._r == other._r)
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash((self._lo, tuple(self._r)))
 
     def __call__(self, x):
-        return sum(c * x ** e for e, c in self._c.items())
+        return sum(c * x ** e for e, c in self.terms())
 
     def deriv_at_one(self) -> int:
-        return sum(e * c for e, c in self._c.items())
+        return sum(e * c for e, c in self.terms())
 
     def shift(self, k: int) -> "UnivarPoly":
-        if k < 0 and any(e + k < 0 for e in self._c):
+        if not self._r:
+            return self
+        if self._lo + k < 0:
             raise InternalInvariantViolation("negative exponent after shift")
-        return UnivarPoly({e + k: c for e, c in self._c.items()})
+        return UnivarPoly.from_row(self._r, self._lo + k)
 
     def __repr__(self):
-        if not self._c:
+        if not self._r:
             return "0"
         bits = []
-        for e, c in sorted(self._c.items(), reverse=True):
+        for e, c in reversed(self.terms()):
             term = "1" if (c == 1 and e == 0) else (
                 f"{c}" if e == 0 else (f"u^{e}" if c == 1 else f"{c}*u^{e}"))
             bits.append(term)
@@ -252,36 +305,42 @@ def n_poly(d1: int, d2: int) -> UnivarPoly:
     return UnivarPoly(dict(_n_poly_terms(d1, d2)))
 
 
-def _merge_core(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+def _merge_core(a: list, b: list) -> list:
     """Coefficients of sum over (d1, d2) of a[d1] * b[d2] * N(d1, d2).
 
-    ``a`` and ``b`` map root degrees >= 2 to int entries. Put j = d - i - 1;
-    the binomial C(j1 + j2, j1) in N counts monotone lattice paths, so
+    ``a`` and ``b`` are lists indexed by root degree, zero below degree 2,
+    and so is the result, indexed by exponent. Put j = d - i - 1; the
+    binomial C(j1 + j2, j1) in N counts monotone lattice paths, so
 
         G(i1, i2) = sum_{d1>i1, d2>i2} a[d1] b[d2] C(d1-i1-1 + d2-i2-1, d1-i1-1)
 
     satisfies G(i1, i2) = a[i1+1] b[i2+1] + G(i1+1, i2) + G(i1, i2+1). The
     coefficient of u^e is the sum of G(i1, i2) over i1 + i2 = e plus the
     products a[d1] b[d2] with d1 + d2 - 1 = e. Rows of G are built from
-    i1 = max(a) - 1 down to 1, so the whole merge costs O(D1*D2) products
+    i1 = top1 - 1 down to 1, so the whole merge costs O(D1*D2) products
     and additions. N(d1, d2) = N(d2, d1), so the operand of lower degree
-    indexes the rows and each row is one long vectorized step.
+    indexes the rows and each row is one long vectorized step; a zero entry
+    of that operand adds no products to its row.
     """
-    if max(a) > max(b):
+    if len(a) > len(b):
         a, b = b, a
-    top1, top2 = max(a), max(b)
+    top1, top2 = len(a) - 1, len(b) - 1
     width = top2 - 1
-    b_row = [b.get(d, 0) for d in range(2, top2 + 1)]  # b[i2 + 1], i2 = 1..
+    b_row = b[2:]  # b[i2 + 1], i2 = 1..top2-1
     out = [0] * (top1 + top2)
     g = [0] * width  # G(i1 + 1, i2), i2 = 1..top2-1
     for i1 in range(top1 - 1, 0, -1):
-        c1 = a.get(i1 + 1, 0)
-        prods = [c1 * c2 for c2 in b_row]
-        # a[i1+1] b[i2+1] lands at u^(i1+i2+1); G(i1, i2) at u^(i1+i2)
-        out[i1 + 2:i1 + 2 + width] = map(add, out[i1 + 2:i1 + 2 + width], prods)
-        g = list(accumulate(map(add, reversed(prods), reversed(g))))[::-1]
+        c1 = a[i1 + 1]
+        if c1:
+            prods = b_row if c1 == 1 else [c1 * c2 for c2 in b_row]
+            # a[i1+1] b[i2+1] lands at u^(i1+i2+1); G(i1, i2) at u^(i1+i2)
+            out[i1 + 2:i1 + 2 + width] = map(add, out[i1 + 2:i1 + 2 + width],
+                                             prods)
+            g = list(accumulate(map(add, reversed(prods), reversed(g))))[::-1]
+        else:
+            g = list(accumulate(reversed(g)))[::-1]
         out[i1 + 1:i1 + 1 + width] = map(add, out[i1 + 1:i1 + 1 + width], g)
-    return {e: c for e, c in enumerate(out) if c}
+    return out
 
 
 def join_Q(q1: UnivarPoly, q2: UnivarPoly) -> UnivarPoly:
@@ -289,14 +348,15 @@ def join_Q(q1: UnivarPoly, q2: UnivarPoly) -> UnivarPoly:
     for q in (q1, q2):
         if q.is_zero() or q.min_exp < 2:
             raise OutOfRange("operand polynomials need minimum exponent >= 2")
-    return UnivarPoly(_merge_core(q1._c, q2._c))
+    return UnivarPoly.from_row(_merge_core(q1.row(), q2.row()))
 
 
-def _pack_rows(p: BivarPoly, low: int, k: int) -> dict[int, int]:
-    """u-exponent -> its v-polynomial over v^low, evaluated at v = 2^k."""
-    rows: dict[int, int] = {}
+def _pack_rows(p: BivarPoly, low: int, k: int) -> list:
+    """Row over u-exponents of the v-polynomials over v^low, each evaluated
+    at v = 2^k."""
+    rows = [0] * (max(a for a, _ in p._c) + 1)
     for (a, b), c in p._c.items():
-        rows[a] = rows.get(a, 0) + (c << (k * (b - low)))
+        rows[a] += c << (k * (b - low))
     return rows
 
 
@@ -353,7 +413,7 @@ def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
              * sum(map(abs, p1._c.values())) * sum(map(abs, p2._c.values())))
     k = -(-(bound.bit_length() + 1) // 8) * 8
     merged = _merge_core(_pack_rows(p1, low1, k), _pack_rows(p2, low2, k))
-    acc = {(e, low1 + low2 + j): c for e, x in merged.items()
+    acc = {(e, low1 + low2 + j): c for e, x in enumerate(merged) if x
            for j, c in _unpack(x, k, slots).items()}
     if any(b < 1 for _, b in acc):
         raise InternalInvariantViolation(
@@ -403,17 +463,16 @@ def count_weak_join(p1: BivarPoly, p2: BivarPoly, kind: str = "join") -> int:
         p2 = p1 if same else swap_vars(p2)
     elif kind != "join":
         raise OutOfRange(f"kind must be 'join' or 'meet', got {kind!r}")
-    s1 = p1.u_slices()
-    s2 = s1 if same else p2.u_slices()
-    if not s1 or not s2:
+    if p1.is_zero() or p2.is_zero():
         raise EmptyInput("zero operand polynomial")
-    if min(s1) < 2 or min(s2) < 2:
+    if p1.min_u_exp() < 2 or p2.min_u_exp() < 2:
         raise OutOfRange("operand polynomials need minimum u-exponent >= 2")
     # the full merge at (1, 1) sums a[d1] b[d2] N(d1, d2)(1), and _merge_core
-    # of the marginals spreads that same sum over the root degrees
-    a = {d: sum(vs.values()) for d, vs in s1.items()}
-    b = a if same else {d: sum(vs.values()) for d, vs in s2.items()}
-    return sum(_merge_core(a, b).values())
+    # of the marginals (the rows packed at v = 2^0) spreads that same sum
+    # over the root degrees
+    a = _pack_rows(p1, 0, 0)
+    b = a if same else _pack_rows(p2, 0, 0)
+    return sum(_merge_core(a, b))
 
 
 def try_split(p: BivarPoly):

@@ -181,3 +181,47 @@ def small_roots_bisection(x, dps):
                     hi = mid
             roots.append((lo + hi) / 2)
         return tuple(roots)
+
+
+class UnivarSpec:
+    """Spec for ``UnivarPoly``: a dict {exponent: coefficient} holding no
+    zero coefficient, with every operation written out term by term."""
+
+    def __init__(self, coeffs):
+        self.c = {e: c for e, c in coeffs.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.c)
+        for e, c in other.c.items():
+            out[e] = out.get(e, 0) + c
+        return UnivarSpec(out)
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return UnivarSpec({e: c * other for e, c in self.c.items()})
+        out = {}
+        for e1, c1 in self.c.items():
+            for e2, c2 in other.c.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return UnivarSpec(out)
+
+    def shift(self, k):
+        """None where some exponent would go negative."""
+        if any(e + k < 0 for e in self.c):
+            return None
+        return UnivarSpec({e + k: c for e, c in self.c.items()})
+
+    def coeff(self, e):
+        return self.c.get(e, 0)
+
+    def terms(self):
+        return sorted(self.c.items())
+
+    def deriv_at_one(self):
+        return sum(e * c for e, c in self.c.items())
+
+    def __call__(self, x):
+        return sum(c * x ** e for e, c in self.c.items())

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
@@ -44,6 +45,30 @@ def test_chirotope_from_points_requires_general_position_and_size():
         chirotope_from_points(PointSet([(0, 0), (1, 0)]))
 
 
+def test_chirotope_from_points_rational_signs_and_message():
+    # the signs come from integer determinants of the scaled coordinates;
+    # the oracle is orient on the exact fractions
+    rng = random.Random(17)
+    for _ in range(20):
+        pts = [(Fraction(rng.randrange(-50, 50), rng.randrange(1, 12)),
+                Fraction(rng.randrange(-50, 50), rng.randrange(1, 12)))
+               for _ in range(7)]
+        ps = PointSet(pts)
+        try:
+            ps.validate_general_position()
+        except GeneralPositionViolation:
+            continue
+        chi = chirotope_from_points(ps)
+        for t in sorted_triples(7):
+            assert chi.sign(*t) == orient(ps[t[0]], ps[t[1]], ps[t[2]])
+    ps = PointSet([(0, 0), (Fraction(1, 3), 1), (Fraction(1, 2), 0),
+                   (Fraction(2, 3), 2)])
+    with pytest.raises(GeneralPositionViolation) as info:
+        chirotope_from_points(ps)
+    assert str(info.value) == ("labels (0, 1, 3): collinear points "
+                               f"{ps[0]}, {ps[1]}, {ps[3]}")
+
+
 def test_chi1_fixture_axioms_and_interior_point():
     ps = chi1_fixture_points()
     chi = chirotope_from_points(ps)
@@ -79,12 +104,16 @@ def test_sign_rejects_bad_triples():
 def test_table_keys_must_be_the_sorted_triples():
     table = {t: 1 for t in sorted_triples(4)}
     Chirotope(4, table)
-    # right size, wrong keys: an unsorted triple, then an out-of-range label
-    for bad, good in (((1, 0, 2), (0, 1, 2)), ((0, 1, 4), (1, 2, 3))):
+    # right size, wrong keys: an unsorted triple, an out-of-range label, a
+    # repeated label, a non-integer label, and keys that are no triple
+    for bad, good in (((1, 0, 2), (0, 1, 2)), ((0, 1, 4), (1, 2, 3)),
+                      ((-1, 1, 2), (0, 1, 2)), ((0, 0, 1), (0, 1, 2)),
+                      ((0.5, 1, 2), (0, 1, 2)), ((0, 1, 2, 3), (0, 1, 2)),
+                      ("abc", (0, 1, 2)), (7, (0, 1, 2))):
         wrong = dict(table)
         del wrong[good]
         wrong[bad] = 1
-        with pytest.raises(InvalidTriple):
+        with pytest.raises(InvalidTriple, match="not the sorted triples of 0..3"):
             Chirotope(4, wrong)
 
 
@@ -353,17 +382,19 @@ def test_side_masks_answer_like_the_input_table():
 
 def test_chirotope_retains_only_its_side_masks():
     # 60 elements: 3,600 masks of up to 60 bits, about 0.3 MB; a copy of the
-    # sorted-triple dict of its 34,220 signs takes about 1.4 MB
+    # sorted-triple dict of its 34,220 signs takes about 1.4 MB, and a set of
+    # those triples, built to check the keys, about 4 MB
     rng = random.Random(59)
     table = {t: rng.choice((1, -1)) for t in sorted_triples(60)}
     tracemalloc.start()
     try:
         chi = Chirotope(60, table)
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert chi.n == 60
     assert retained < 1_000_000
+    assert peak < 1_000_000
 
 
 def test_permutation_storage_consistency():

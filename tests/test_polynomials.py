@@ -1,6 +1,8 @@
-"""Sparse polynomial calculus: recombination, merge recursion, marginals."""
+"""Polynomial calculus: recombination, merge recursion, marginals."""
 
+import json
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -12,8 +14,9 @@ from chirotri import (BivarPoly, EmptyInput, InternalInvariantViolation,
                       chi_k, convex, count_weak_join, enumerate_weak, join,
                       join_P, join_Q, meet, meet_P, n_poly, q_from_p,
                       swap_vars, try_split, twist)
+from chirotri import polynomials
 
-from helpers import random_rooted
+from helpers import UnivarSpec, random_rooted
 
 U = UnivarPoly
 B = BivarPoly
@@ -165,18 +168,18 @@ def test_count_weak_join_same_operand_once(monkeypatch):
     for p in seeds + [join_P(seeds[0], seeds[1]), meet_P(seeds[1], seeds[2])]:
         copy = B(dict(p._c))
         calls = []
-        real = B.u_slices
+        real = polynomials._pack_rows
 
-        def counted(self):
-            calls.append(self)
-            return real(self)
+        def counted(q, low, k):
+            calls.append(q)
+            return real(q, low, k)
 
         for kind in ("join", "meet"):
-            monkeypatch.setattr(B, "u_slices", counted)
+            monkeypatch.setattr(polynomials, "_pack_rows", counted)
             calls.clear()
             got = count_weak_join(p, p, kind)
             assert len(calls) == 1
-            monkeypatch.setattr(B, "u_slices", real)
+            monkeypatch.setattr(polynomials, "_pack_rows", real)
             assert got == count_weak_join(p, copy, kind)
             full = join_P(p, copy) if kind == "join" else meet_P(p, copy)
             assert got == full(1, 1)
@@ -328,6 +331,63 @@ def test_serialization_roundtrip():
     p = B({(2, 3): -7, (0, 0): 5})
     assert B.from_json(p.to_json()) == p
     assert p.to_json() == '{"terms":[[0,0,"5"],[2,3,"-7"]]}'
+
+
+_sparse_dict = st.one_of(
+    st.dictionaries(st.integers(0, 40), _coeff, max_size=8),
+    st.tuples(st.integers(0, 10 ** 6), _coeff).map(lambda ec: dict([ec])))
+
+
+def _check_against_spec(got, want, x):
+    """Every read of ``got`` answers as the dict spec ``want`` does."""
+    assert got.terms() == want.terms()
+    assert got == U(want.c) and hash(got) == hash(U(want.c))
+    assert got.is_zero() == (not want.c)
+    if want.c:
+        assert (got.min_exp, got.max_exp) == (min(want.c), max(want.c))
+    else:
+        for attr in ("min_exp", "max_exp"):
+            with pytest.raises(EmptyInput):
+                getattr(got, attr)
+    for e in {0, *want.c, *(e + 1 for e in want.c)}:
+        assert got.coeff(e) == want.coeff(e)
+    assert got.deriv_at_one() == want.deriv_at_one()
+    assert got(x) == want(x)
+    assert got.to_json() == json.dumps(
+        {"terms": [[e, str(c)] for e, c in want.terms()]}, separators=(",", ":"))
+    assert U.from_json(got.to_json()) == got
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_dict, _sparse_dict, st.one_of(_coeff, st.just(0)),
+       st.integers(0, 10 ** 6), st.integers(-2, 2))
+def test_univar_poly_matches_dict_spec(d1, d2, m, k, x):
+    p, q = U(d1), U(d2)
+    sp, sq = UnivarSpec(d1), UnivarSpec(d2)
+    assert (p == q) == (sp.c == sq.c)
+    for got, want in ((p, sp), (q, sq), (p + q, sp + sq), (p - q, sp - sq),
+                      (p * q, sp * sq), (p * m, sp * m), (m * p, sp * m)):
+        _check_against_spec(got, want, x)
+    low = min(sp.c, default=0)
+    for j in (k, -k, -low, -low - 1):
+        want = sp.shift(j)
+        if want is None:
+            with pytest.raises(InternalInvariantViolation):
+                p.shift(j)
+        else:
+            _check_against_spec(p.shift(j), want, x)
+
+
+def test_univar_shift_keeps_one_row():
+    # a row from exponent 0 would hold 2 * 10**6 slots, about 16 MB
+    tracemalloc.start()
+    try:
+        p = U({10 ** 6: 1}).shift(10 ** 6)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert p.terms() == [(2 * 10 ** 6, 1)]
+    assert retained < 1024
 
 
 def test_polynomial_basics():
