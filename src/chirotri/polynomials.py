@@ -10,12 +10,11 @@ the phantom-degree product is divided by the phantom variable exactly once
 because the shared segment from the phantom to the merged hull point is
 counted on both sides.
 
-All merges run through one lattice-path recurrence (``_merge_core``) that
-costs O(D1*D2) operations for operand root degrees up to D1 and D2 and
-works on lists indexed by root degree. A merge
-of two operands that factor as (polynomial in u) * (polynomial in v) returns
-a BivarPoly that keeps those two factors and expands its coefficients only
-when something reads them.
+All merges run through one lattice-path recurrence (``_merge_core``) on
+lists indexed by root degree, which costs O(D1*D2) operations for operand
+root degrees up to D1 and D2. A merge of two operands that factor as
+(polynomial in u) * (polynomial in v) returns a BivarPoly that keeps those
+two factors and expands its coefficients only when something reads them.
 """
 
 from __future__ import annotations
