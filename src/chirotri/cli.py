@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -89,10 +90,29 @@ def _cmd_poly(args) -> int:
     return 0
 
 
+def _unprintable(kmax: int, limit: int) -> OutOfRange:
+    return OutOfRange(f"--kmax {kmax}: D({kmax}) has more than {limit} digits, "
+                      f"above Python's limit for printing an integer")
+
+
 def _cmd_dc_table(args) -> int:
     if args.kmax < 3:
         raise OutOfRange("--kmax must be at least 3")
+    # D(k) is the law's estimate 1.42 * 12^(k-2) * k^(-3/2) times a ratio
+    # that falls from 1.22 at k = 3 towards 1 (1.00016 at k = 3980), so
+    # log10 D(k) > (k-2) log10 12 - 1.5 log10 k - 1, and a kmax past that
+    # bound certainly cannot print. The comparison builds neither D(kmax)
+    # nor a float of kmax; the check after the table catches the k at the
+    # bound.
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and args.kmax - 2 >= ((limit + 1 + 1.5 * math.log10(args.kmax))
+                                   / math.log10(12)):
+        raise _unprintable(args.kmax, limit)
     rows = asymptotic_report(range(3, args.kmax + 1), dps=args.precision)
+    try:
+        str(rows[-1].exact)  # the largest count: if it prints, all do
+    except ValueError:
+        raise _unprintable(args.kmax, limit) from None
     if args.format == "csv":
         print("k,exact,estimate,ratio")
         for r in rows:

@@ -474,13 +474,40 @@ def eval_expr(e, mode: EvalMode = EvalMode.MATERIALIZE,
     return _eval(e, make_ops(cap), {})
 
 
+def _shared(e) -> set:
+    """The nodes that the tree of ``e`` reaches more than once; equal
+    subtrees count as one node."""
+    seen, shared = set(), set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            shared.add(node)
+            continue
+        seen.add(node)
+        if isinstance(node, (Join, Meet)):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Twist, Flip)):
+            stack.append(node.inner)
+    return shared
+
+
 def _eval(e, ops: dict, memo: dict):
     """Value of ``e`` under ``ops``, each distinct node computed once.
 
-    A chain of k infix merges nests k deep on the left, so the walk loops
-    down Join/Meet left children to a memo hit or another node, then merges
-    back up the spine; only right and Twist/Flip operands recurse.
+    ``memo`` holds a key for every node that the tree reaches more than
+    once, with its value, or None until that is computed. Other nodes are
+    not kept, so a chain keeps none of its intermediate values alive.
     """
+    for node in _shared(e):
+        memo.setdefault(node, None)
+    return _walk(e, ops, memo)
+
+
+def _walk(e, ops: dict, memo: dict):
+    """A chain of k infix merges nests k deep on the left, so the walk loops
+    down Join/Meet left children to a memo hit or another node, then merges
+    back up the spine; only right and Twist/Flip operands recurse."""
     spine = []
     while (value := memo.get(e)) is None and isinstance(e, (Join, Meet)):
         spine.append(e)
@@ -489,9 +516,11 @@ def _eval(e, ops: dict, memo: dict):
         op = ops.get(type(e))
         if op is None:
             raise OutOfRange(f"not an expression node: {e!r}")
-        value = op(e, memo) if type(e) is Atom else op(_eval(e.inner, ops, memo))
-        memo[e] = value
+        value = op(e, memo) if type(e) is Atom else op(_walk(e.inner, ops, memo))
+        if e in memo:
+            memo[e] = value
     for node in reversed(spine):
-        value = ops[type(node)](value, _eval(node.right, ops, memo))
-        memo[node] = value
+        value = ops[type(node)](value, _walk(node.right, ops, memo))
+        if node in memo:
+            memo[node] = value
     return value

@@ -183,9 +183,10 @@ def brute_Q(rc: RootedChirotope, cap: int | None = None) -> UnivarPoly:
 def brute_P(rc: RootedChirotope, cap: int | None = None) -> BivarPoly:
     """Weak-triangulation polynomial by (root degree, phantom degree)."""
     _, masks, inc = _ground(rc, cap)
-    root_mask, v_mask = inc[rc.root], inc[rc.chi.n]
-    acc: dict[tuple[int, int], int] = {}
+    n = rc.chi.n
+    root_mask, v_mask = inc[rc.root], inc[n]
+    # rows[root degree][phantom degree]; both degrees are below n
+    rows = [[0] * n for _ in range(n)]
     for key, count in _tally(masks, root_mask | v_mask).items():
-        d = ((key & root_mask).bit_count(), (key & v_mask).bit_count())
-        acc[d] = acc.get(d, 0) + count
-    return BivarPoly(acc)
+        rows[(key & root_mask).bit_count()][(key & v_mask).bit_count()] += count
+    return BivarPoly.from_rows(rows)

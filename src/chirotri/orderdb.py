@@ -30,13 +30,23 @@ def default_width(n: int) -> int:
     return 8 if n <= 8 else 16
 
 
-def _record_struct(n: int, width: int | None):
-    """(width, struct of one n-point record); the width defaults by n, and
-    only 8 and 16 bits are accepted."""
+def _record_width(n: int, width: int | None) -> int:
+    """The coordinate width of an n-point record; it defaults by n, and only
+    8 and 16 bits are accepted. A horizontal line holds at most two points
+    of a set in general position, so at most 2 * 2^width points with
+    width-bit coordinates are in general position; a larger n is refused."""
     width = default_width(n) if width is None else width
     if width not in (8, 16):
         raise OutOfRange(f"width must be 8 or 16 bits, got {width}")
-    return width, struct.Struct("<" + ("B" if width == 8 else "H") * (2 * n))
+    if n > 2 << width:
+        raise OutOfRange(f"no {n} points with {width}-bit coordinates are in "
+                         f"general position; at most {2 << width} are")
+    return width
+
+
+def _record_struct(n: int, width: int) -> struct.Struct:
+    """The layout of one n-point record of width-bit coordinates."""
+    return struct.Struct(f"<{2 * n}{'B' if width == 8 else 'H'}")
 
 
 def _is_general_position(coords) -> bool:
@@ -53,13 +63,15 @@ def iter_order_types(data: bytes, n: int, width: int | None = None,
     """
     if n < 3:
         raise OutOfRange(f"need n >= 3, got {n}")
-    width, layout = _record_struct(n, width)
-    if len(data) % layout.size != 0:
+    width = _record_width(n, width)
+    size = 2 * n * width // 8
+    if len(data) % size != 0:
         raise MalformedFile(
             f"file size {len(data)} is not a multiple of the record size "
-            f"{layout.size} (n={n}, width={width})")
-    for idx in range(len(data) // layout.size):
-        values = layout.unpack_from(data, idx * layout.size)
+            f"{size} (n={n}, width={width})")
+    layout = _record_struct(n, width)
+    for idx in range(len(data) // size):
+        values = layout.unpack_from(data, idx * size)
         coords = tuple((values[2 * i], values[2 * i + 1]) for i in range(n))
         if not _is_general_position(coords):
             if lenient:
@@ -86,7 +98,8 @@ def read_order_types(path, n: int, width: int | None = None,
 def serialize_order_types(records, width: int | None = None) -> bytes:
     """Inverse of the reader; round-trips a parsed file byte-for-byte."""
     n = records[0].n if records else 0
-    width, layout = _record_struct(n, width)
+    width = _record_width(n, width)
+    layout = _record_struct(n, width)
     out = bytearray()
     for rec in records:
         if rec.n != n:

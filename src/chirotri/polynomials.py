@@ -2,19 +2,23 @@
 
 Coefficients are Python ints (arbitrary precision). A UnivarPoly is its
 lowest exponent plus the dense row of its coefficients from there, with no
-zero at either end; a BivarPoly maps (u-exponent, v-exponent) pairs to
-nonzero coefficients. The merge recursion combines the weak
-triangulation polynomials of two rooted chirotopes: terms of root degrees
-(d1, d2) recombine into root degrees given by the polynomial N(d1, d2), and
-the phantom-degree product is divided by the phantom variable exactly once
-because the shared segment from the phantom to the merged hull point is
-counted on both sides.
+zero at either end. A BivarPoly is its lowest u- and v-exponents plus dense
+rows: one row of v-coefficients per u-exponent, all of one width, with no
+all-zero row or column at either end. The merge recursion combines the
+weak triangulation polynomials of two rooted chirotopes: terms of root
+degrees (d1, d2) recombine into root degrees given by the polynomial
+N(d1, d2), and the phantom-degree product is divided by the phantom
+variable exactly once because the shared segment from the phantom to the
+merged hull point is counted on both sides.
 
 All merges run through one lattice-path recurrence (``_merge_core``) on
 lists indexed by root degree, which costs O(D1*D2) operations for operand
-root degrees up to D1 and D2. A merge of two operands that factor as
-(polynomial in u) * (polynomial in v) returns a BivarPoly that keeps those
-two factors and expands its coefficients only when something reads them.
+root degrees up to D1 and D2. A weak merge packs each row into one integer
+for it and unpacks each merged integer into a row of the result; a meet
+transposes the rows. Whether a BivarPoly factors as (polynomial in u) *
+(polynomial in v) is decided when it is built. A merge of two operands that
+factor returns a BivarPoly that keeps the two factors of the result and
+builds its rows only when something reads them.
 """
 
 from __future__ import annotations
@@ -23,13 +27,9 @@ import json
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd
-from operator import add
+from operator import add, ne
 
 from .errors import EmptyInput, InternalInvariantViolation, OutOfRange
-
-
-def _clean(d):
-    return {e: c for e, c in d.items() if c != 0}
 
 
 class UnivarPoly:
@@ -180,22 +180,73 @@ class UnivarPoly:
 class BivarPoly:
     """Bivariate polynomial in (u, v), integer coefficients, exponents >= 0.
 
-    A polynomial built by ``_from_factors`` holds only its factors
-    (U(u), V(v)), at the scale its merge produced them, until its
-    coefficient dict ``_c`` is first read; ``try_split``, ``q_from_p``,
-    ``swap_vars``, ``is_zero``, ``min_u_exp`` and ``min_v_exp`` work on the
-    factors alone.
+    Stored as its lowest exponents ``_u0`` and ``_v0`` and the dense rows
+    ``_rows``: one tuple of v-coefficients per u-exponent from ``_u0`` on,
+    all of one width, each from v^_v0 on. No row or column at either end
+    is all zero; the zero polynomial has no rows. Stored rows are never
+    changed, so polynomials may share them. A polynomial thus holds as many
+    coefficients as the product of its u- and v-exponent spans, however
+    few of them are nonzero.
+
+    Whether the polynomial has rank one is decided when it is built:
+    ``_factors`` holds factors (U(u), V(v)) whose product it is, or None.
+    A polynomial built by ``_from_factors`` holds only its factors, at the
+    scale its merge produced them, until its rows are first read.
     """
 
-    __slots__ = ("_coeffs", "_factors")
+    __slots__ = ("_u0", "_v0", "_rows", "_factors", "_coeffs")
 
     def __init__(self, coeffs: dict | None = None):
         coeffs = coeffs or {}
-        for (a, b) in coeffs:
-            if a < 0 or b < 0:
-                raise OutOfRange(f"bad exponent pair ({a}, {b})")
-        self._coeffs = _clean(coeffs)
-        self._factors = None
+        for key in coeffs:
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(isinstance(e, int) and not isinstance(e, bool)
+                            and e >= 0 for e in key)):
+                raise OutOfRange(f"bad exponent pair {key!r}")
+        live = [(a, b, c) for (a, b), c in coeffs.items() if c]
+        rows, u0, v0 = [], 0, 0
+        if live:
+            us, vs, _ = zip(*live)
+            u0, v0 = min(us), min(vs)
+            rows = [[0] * (max(vs) - v0 + 1) for _ in range(max(us) - u0 + 1)]
+            for a, b, c in live:
+                rows[a - u0][b - v0] = c
+        self._set_rows(rows, u0, v0)
+
+    @classmethod
+    def from_rows(cls, rows: list, u0: int = 0, v0: int = 0) -> "BivarPoly":
+        """The polynomial sum of rows[i][j] * u^(u0 + i) * v^(v0 + j), for
+        rows of one width; zero rows and columns at the ends are dropped."""
+        if u0 < 0 or v0 < 0:
+            raise OutOfRange(f"bad exponent pair ({u0}, {v0})")
+        p = cls.__new__(cls)
+        p._set_rows(rows, u0, v0)
+        return p
+
+    def _set_rows(self, rows, u0, v0):
+        end = len(rows)
+        while end and not any(rows[end - 1]):
+            end -= 1
+        start = 0
+        while start < end and not any(rows[start]):
+            start += 1
+        rows = rows[start:end]
+        self._coeffs = None
+        if not rows:
+            self._u0 = self._v0 = 0
+            self._rows = ()
+            self._factors = None
+            return
+        left, right = 0, len(rows[0])
+        while not any(row[left] for row in rows):
+            left += 1
+        while not any(row[right - 1] for row in rows):
+            right -= 1
+        if left or right < len(rows[0]):
+            rows = [row[left:right] for row in rows]
+        self._u0, self._v0 = u0 + start, v0 + left
+        self._rows = tuple(map(tuple, rows))
+        self._factors = _rank_one(self._rows, self._u0, self._v0)
 
     @classmethod
     def _from_factors(cls, u_part: UnivarPoly, v_part: UnivarPoly) -> "BivarPoly":
@@ -203,61 +254,76 @@ class BivarPoly:
         if u_part.is_zero() or v_part.is_zero():
             return cls()
         p = cls.__new__(cls)
-        p._coeffs = None
+        p._u0, p._v0 = u_part.min_exp, v_part.min_exp
+        p._rows = p._coeffs = None
         p._factors = (u_part, v_part)
         return p
 
+    def _grid(self) -> tuple:
+        """The rows, built from the factors when first read."""
+        if self._rows is None:
+            u_part, v_part = self._factors
+            v_row = v_part._r
+            zero = (0,) * len(v_row)
+            self._rows = tuple(tuple(map(c.__mul__, v_row)) if c else zero
+                               for c in u_part._r)
+        return self._rows
+
     @property
     def _c(self) -> dict:
-        """The coefficient dict {(u-exp, v-exp): coefficient}."""
+        """The coefficient dict {(u-exp, v-exp): coefficient}, built when
+        first read; a factored polynomial builds it from its factors and
+        still holds no rows."""
         if self._coeffs is None:
-            u_part, v_part = self._factors
-            self._coeffs = {(a, b): cu * cv for a, cu in u_part.terms()
-                            for b, cv in v_part.terms()}
+            if self._rows is None:
+                u_part, v_part = self._factors
+                self._coeffs = {(a, b): cu * cv for a, cu in u_part.terms()
+                                for b, cv in v_part.terms()}
+            else:
+                self._coeffs = dict(self.terms())
         return self._coeffs
 
     def terms(self):
         """((u-exp, v-exp), coefficient) pairs in lexicographic order."""
-        return sorted(self._c.items())
+        u0, v0 = self._u0, self._v0
+        return [((u0 + i, v0 + j), c) for i, row in enumerate(self._grid())
+                for j, c in enumerate(row) if c]
 
     def is_zero(self) -> bool:
-        return self._factors is None and not self._coeffs
+        return self._factors is None and not self._rows
 
     def u_slices(self) -> dict[int, dict[int, int]]:
         """u-exponent -> {v-exponent: coefficient}."""
         out: dict[int, dict[int, int]] = {}
-        for (a, b), c in self._c.items():
+        for (a, b), c in self.terms():
             out.setdefault(a, {})[b] = c
         return out
 
     def min_u_exp(self) -> int:
-        if self._factors is not None:
-            return self._factors[0].min_exp
-        if not self._c:
+        if self.is_zero():
             raise EmptyInput("zero polynomial has no exponents")
-        return min(a for a, _ in self._c)
+        return self._u0
 
     def min_v_exp(self) -> int:
-        if self._factors is not None:
-            return self._factors[1].min_exp
-        if not self._c:
+        if self.is_zero():
             raise EmptyInput("zero polynomial has no exponents")
-        return min(b for _, b in self._c)
+        return self._v0
 
     def __eq__(self, other):
-        return isinstance(other, BivarPoly) and self._c == other._c
+        return (isinstance(other, BivarPoly) and self._u0 == other._u0
+                and self._v0 == other._v0 and self._grid() == other._grid())
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash((self._u0, self._v0, self._grid()))
 
     def __call__(self, u, v):
-        return sum(c * u ** a * v ** b for (a, b), c in self._c.items())
+        return sum(c * u ** a * v ** b for (a, b), c in self.terms())
 
     def __repr__(self):
-        if not self._c:
+        if self.is_zero():
             return "0"
         bits = []
-        for (a, b), c in sorted(self._c.items(), reverse=True):
+        for (a, b), c in reversed(self.terms()):
             term = "" if c == 1 and (a or b) else str(c)
             if a:
                 term += ("*" if term else "") + f"u^{a}"
@@ -274,6 +340,28 @@ class BivarPoly:
     def from_json(cls, text: str) -> "BivarPoly":
         data = json.loads(text)
         return cls({(int(a), int(b)): int(c) for a, b, c in data["terms"]})
+
+
+def _rank_one(rows: tuple, u0: int, v0: int):
+    """Factors (U, V) whose product is the polynomial of these rows, or None
+    when its coefficient matrix has rank above one.
+
+    Every row must be a rational multiple of the first, checked by cross
+    products against the first row's leading entry; a mismatch usually
+    shows in the first entries of the second row. V is the first row over
+    the gcd of its entries, so every multiple is an integer and U is exact.
+    """
+    first = rows[0]
+    j = next(i for i, c in enumerate(first) if c)
+    lead = first[j]
+    for row in rows[1:]:
+        c = row[j]
+        if any(map(ne, map(lead.__mul__, row), map(c.__mul__, first))):
+            return None
+    g = gcd(*first)
+    v_row = [c // g for c in first]
+    return (UnivarPoly.from_row([row[j] // v_row[j] for row in rows], u0),
+            UnivarPoly.from_row(v_row, v0))
 
 
 # -- the counting calculus ---------------------------------------------------
@@ -350,17 +438,20 @@ def join_Q(q1: UnivarPoly, q2: UnivarPoly) -> UnivarPoly:
     return UnivarPoly.from_row(_merge_core(q1.row(), q2.row()))
 
 
-def _pack_rows(p: BivarPoly, low: int, k: int) -> list:
-    """Row over u-exponents of the v-polynomials over v^low, each evaluated
-    at v = 2^k."""
-    rows = [0] * (max(a for a, _ in p._c) + 1)
-    for (a, b), c in p._c.items():
-        rows[a] += c << (k * (b - low))
-    return rows
+def _pack(rows: tuple, u0: int, k: int) -> list:
+    """Each row evaluated at v = 2^k, in a list indexed by u-exponent from 0."""
+    out = [0] * u0
+    for row in rows:
+        x = 0
+        for c in reversed(row):
+            x = (x << k) + c
+        out.append(x)
+    return out
 
 
-def _unpack(x: int, k: int, slots: int) -> dict[int, int]:
-    """Coefficients c_j, |c_j| < 2^(k-1), of x = sum_{j < slots} c_j 2^(k*j).
+def _unpacker(k: int, slots: int):
+    """The function that gives the coefficients c_j, |c_j| < 2^(k-1), of
+    x = sum_{j < slots} c_j 2^(k*j), as a tuple.
 
     Adding 2^(k-1) to every slot makes each one a nonnegative k-bit digit
     that can be read off the bytes of the sum; k is a multiple of 8.
@@ -368,13 +459,17 @@ def _unpack(x: int, k: int, slots: int) -> dict[int, int]:
     width = k // 8
     half = 1 << (k - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    raw = (x + bias).to_bytes(width * slots, "little")
-    out = {}
-    for j in range(slots):
-        c = int.from_bytes(raw[j * width:(j + 1) * width], "little") - half
-        if c:
-            out[j] = c
-    return out
+    cuts = range(0, width * slots, width)
+    read = int.from_bytes
+
+    def unpack(x):
+        raw = (x + bias).to_bytes(width * slots, "little")
+        return tuple([read(raw[i:i + width], "little") - half for i in cuts])
+    return unpack
+
+
+def _abs_sum(rows: tuple) -> int:
+    return sum(sum(map(abs, row)) for row in rows)
 
 
 def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
@@ -386,9 +481,10 @@ def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
 
     When both operands factor into a u-part times a v-part (chains do), the
     result factors the same way: its u-part is the join of the u-parts, and
-    it is returned in factored form. Otherwise the merge runs on the
-    v-polynomials of each root degree, packed into integers at v = 2^k with
-    k large enough that no coefficient of the result overflows a slot.
+    it is returned in factored form. Otherwise the merge runs on the rows:
+    each row, a v-polynomial, is packed into one integer at v = 2^k, with k
+    large enough that no coefficient of the result overflows a slot, and
+    each merged integer is unpacked into a row of the result.
     """
     if p1.is_zero() or p2.is_zero():
         raise EmptyInput("zero operand polynomial")
@@ -401,37 +497,46 @@ def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
         up2, vp2 = split2
         return BivarPoly._from_factors(join_Q(up1, up2),
                                        (vp1 * vp2).shift(-1))
-    low1, low2 = p1.min_v_exp(), p2.min_v_exp()
-    slots = (max(b for _, b in p1._c) - low1
-             + max(b for _, b in p2._c) - low2 + 1)
+    same = p2 is p1
+    rows1, rows2 = p1._grid(), p2._grid()
+    slots = len(rows1[0]) + len(rows2[0]) - 1
     # every result coefficient is at most C(D1+D2-2, D1-1) * S1 * S2 in
     # absolute value, with S the sum of absolute operand coefficients
-    top1 = max(a for a, _ in p1._c)
-    top2 = max(a for a, _ in p2._c)
-    bound = (comb(top1 + top2 - 2, top1 - 1)
-             * sum(map(abs, p1._c.values())) * sum(map(abs, p2._c.values())))
+    top1 = p1._u0 + len(rows1) - 1
+    top2 = p2._u0 + len(rows2) - 1
+    s1 = _abs_sum(rows1)
+    bound = (comb(top1 + top2 - 2, top1 - 1) * s1
+             * (s1 if same else _abs_sum(rows2)))
     k = -(-(bound.bit_length() + 1) // 8) * 8
-    merged = _merge_core(_pack_rows(p1, low1, k), _pack_rows(p2, low2, k))
-    acc = {(e, low1 + low2 + j): c for e, x in enumerate(merged) if x
-           for j, c in _unpack(x, k, slots).items()}
-    if any(b < 1 for _, b in acc):
-        raise InternalInvariantViolation(
-            "phantom-degree product has an exponent-0 term; operands are not "
-            "weak-triangulation polynomials")
-    return BivarPoly({(a, b - 1): c for (a, b), c in acc.items()})
+    a = _pack(rows1, p1._u0, k)
+    merged = _merge_core(a, a if same else _pack(rows2, p2._u0, k))
+    unpack = _unpacker(k, slots)
+    zero = (0,) * slots
+    rows = [unpack(x) if x else zero for x in merged]
+    v0 = p1._v0 + p2._v0 - 1
+    if v0 < 0:  # both operands have terms free of v
+        if any(row[0] for row in rows):
+            raise InternalInvariantViolation(
+                "phantom-degree product has an exponent-0 term; operands are "
+                "not weak-triangulation polynomials")
+        rows, v0 = [row[1:] for row in rows], 0
+    return BivarPoly.from_rows(rows, 0, v0)
 
 
 def swap_vars(p: BivarPoly) -> BivarPoly:
     """Transpose the roles of the two variables."""
-    if p._factors is not None:
-        u_part, v_part = p._factors
-        return BivarPoly._from_factors(v_part, u_part)
-    return BivarPoly({(b, a): c for (a, b), c in p._c.items()})
+    q = BivarPoly.__new__(BivarPoly)
+    q._u0, q._v0 = p._v0, p._u0
+    q._rows = None if p._rows is None else tuple(zip(*p._rows))
+    q._factors = None if p._factors is None else p._factors[::-1]
+    q._coeffs = None
+    return q
 
 
 def meet_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
     """Weak-triangulation polynomial of a meet: the join with roles swapped."""
-    return swap_vars(join_P(swap_vars(p1), swap_vars(p2)))
+    q1 = swap_vars(p1)
+    return swap_vars(join_P(q1, q1 if p2 is p1 else swap_vars(p2)))
 
 
 def q_from_p(p: BivarPoly) -> UnivarPoly:
@@ -445,66 +550,49 @@ def q_from_p(p: BivarPoly) -> UnivarPoly:
     if p._factors is not None:
         u_part, v_part = p._factors
         return u_part * v_part.coeff(v_part.min_exp)
-    m = p.min_v_exp()
-    return UnivarPoly({a: c for (a, b), c in p._c.items() if b == m})
+    return UnivarPoly.from_row([row[0] for row in p._rows], p._u0)
+
+
+def _totals(p: BivarPoly, by_v: bool) -> list:
+    """Coefficient sums of p per u-exponent, or per v-exponent if ``by_v``,
+    in a list indexed by exponent from 0."""
+    if by_v:
+        return [0] * p._v0 + list(map(sum, zip(*p._grid())))
+    return [0] * p._u0 + list(map(sum, p._grid()))
 
 
 def count_weak_join(p1: BivarPoly, p2: BivarPoly, kind: str = "join") -> int:
     """Total weak-triangulation count of a join or meet, by marginals only.
 
     Equals the full merged polynomial evaluated at (1, 1) but never builds
-    it: only the per-root-degree totals of each operand are needed. When
-    both operands are the same object, its totals are taken once.
+    it: only the per-root-degree totals of each operand are needed, the
+    row sums for a join and the column sums for a meet, where the roles of
+    the variables are swapped. When both operands are the same object, its
+    totals are taken once.
     """
-    same = p2 is p1
-    if kind == "meet":
-        p1 = swap_vars(p1)
-        p2 = p1 if same else swap_vars(p2)
-    elif kind != "join":
+    if kind not in ("join", "meet"):
         raise OutOfRange(f"kind must be 'join' or 'meet', got {kind!r}")
     if p1.is_zero() or p2.is_zero():
         raise EmptyInput("zero operand polynomial")
-    if p1.min_u_exp() < 2 or p2.min_u_exp() < 2:
-        raise OutOfRange("operand polynomials need minimum u-exponent >= 2")
+    by_v = kind == "meet"
+    low = (min(p1.min_v_exp(), p2.min_v_exp()) if by_v
+           else min(p1.min_u_exp(), p2.min_u_exp()))
+    if low < 2:
+        raise OutOfRange(f"operand polynomials need minimum "
+                         f"{'v' if by_v else 'u'}-exponent >= 2")
     # the full merge at (1, 1) sums a[d1] b[d2] N(d1, d2)(1), and _merge_core
-    # of the marginals (the rows packed at v = 2^0) spreads that same sum
-    # over the root degrees
-    a = _pack_rows(p1, 0, 0)
-    b = a if same else _pack_rows(p2, 0, 0)
-    return sum(_merge_core(a, b))
+    # of the totals spreads that same sum over the root degrees
+    a = _totals(p1, by_v)
+    return sum(_merge_core(a, a if p2 is p1 else _totals(p2, by_v)))
 
 
 def try_split(p: BivarPoly):
     """Factor p as (polynomial in u) * (polynomial in v), if possible.
 
-    Returns factors (U, V) whose outer product is p, or None when the
-    coefficient matrix has rank above one. Chains always split. A factored
-    polynomial returns the factors it holds; an expanded one is factored
-    with V divided by the gcd of its lowest-u row, so U comes out exact.
+    Returns factors (U, V) whose outer product is p, or None when p is zero
+    or its coefficient matrix has rank above one. Chains always split. The
+    factors are decided when p is built, so this only reads them, at the
+    scale they were made: by the merge that returned p, or, for p built
+    from coefficients, with V the lowest-u row over the gcd of its entries.
     """
-    if p.is_zero():
-        return None
-    if p._factors is not None:
-        return p._factors
-    slices = p.u_slices()
-    a0 = min(slices)
-    row0 = slices[a0]
-    b0 = min(row0)
-    g = 0
-    for c in row0.values():
-        g = gcd(g, c)
-    v_part = {b: c // g for b, c in row0.items()}
-    u_part = {}
-    for a, row in slices.items():
-        lead = row.get(b0)
-        if lead is None or lead % v_part[b0] != 0:
-            return None
-        u_part[a] = lead // v_part[b0]
-    # verify the outer product reproduces p exactly
-    prod: dict[tuple[int, int], int] = {}
-    for a, cu in u_part.items():
-        for b, cv in v_part.items():
-            prod[(a, b)] = cu * cv
-    if _clean(prod) != p._c:
-        return None
-    return UnivarPoly(u_part), UnivarPoly(v_part)
+    return p._factors

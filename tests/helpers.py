@@ -1,5 +1,6 @@
 """Shared helpers: random realizable fixtures and small reference oracles."""
 
+import json
 from itertools import combinations, permutations
 from math import comb
 
@@ -225,3 +226,50 @@ class UnivarSpec:
 
     def __call__(self, x):
         return sum(c * x ** e for e, c in self.c.items())
+
+
+class BivarSpec:
+    """Spec for ``BivarPoly``: a dict {(u-exponent, v-exponent): coefficient}
+    holding no zero coefficient, with every read written out term by term."""
+
+    def __init__(self, coeffs):
+        self.c = {k: c for k, c in coeffs.items() if c}
+
+    def terms(self):
+        return sorted(self.c.items())
+
+    def to_json(self):
+        return json.dumps({"terms": [[a, b, str(c)] for (a, b), c in
+                                     self.terms()]}, separators=(",", ":"))
+
+    def swap(self):
+        return BivarSpec({(b, a): c for (a, b), c in self.c.items()})
+
+    def min_u(self):
+        return min(a for a, _ in self.c)
+
+    def min_v(self):
+        return min(b for _, b in self.c)
+
+    def q(self):
+        """{u-exponent: coefficient} of the terms of lowest v-exponent."""
+        low = self.min_v()
+        return {a: c for (a, b), c in self.c.items() if b == low}
+
+    def u_slices(self):
+        out = {}
+        for (a, b), c in self.c.items():
+            out.setdefault(a, {})[b] = c
+        return out
+
+    def rank_one(self):
+        """Nonzero, and every 2x2 minor of the coefficient matrix is 0."""
+        us = sorted({a for a, _ in self.c})
+        vs = sorted({b for _, b in self.c})
+        get = self.c.get
+        return bool(self.c) and all(
+            get((a1, b1), 0) * get((a2, b2), 0) == get((a1, b2), 0) * get((a2, b1), 0)
+            for a1, a2 in combinations(us, 2) for b1, b2 in combinations(vs, 2))
+
+    def __call__(self, u, v):
+        return sum(c * u ** a * v ** b for (a, b), c in self.c.items())

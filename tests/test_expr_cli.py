@@ -159,6 +159,35 @@ def test_polynomial_mode_expands_generators():
     assert q_from_p(p)(1) == catalan(12)
 
 
+def test_memo_keeps_only_nodes_reached_twice(monkeypatch):
+    # a chain reaches each spine node once, so no intermediate polynomial
+    # stays alive; keeping them all took about 11 MB for chik(300)
+    tree = parse_expr("chik(300)")
+    tracemalloc.start()
+    try:
+        p = eval_expr(tree, EvalMode.POLYNOMIAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert p == eval_expr(tree, EvalMode.POLYNOMIAL)
+    # a shared tree still computes each distinct node once: the rewrite of
+    # koch(3) is a subtree of that of koch(4)
+    from chirotri import expr
+    calls = []
+    for name in ("join_P", "meet_P", "brute_P"):
+        def spy(*args, _name=name, _real=getattr(expr, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(expr, name, spy)
+    for src, merges in (("koch(6)", 3),
+                        ("join(koch(4), meet(koch(3), twist(koch(4))))", 3)):
+        calls.clear()
+        eval_expr(parse_expr(src), EvalMode.POLYNOMIAL)
+        assert sorted(calls) == (["brute_P"] + ["join_P"] * merges
+                                 + ["meet_P"] * merges), src
+
+
 def test_load_atom(tmp_path):
     path = tmp_path / "c5.chi"
     path.write_text(write_chi(convex(5).chi, 0))
@@ -435,6 +464,65 @@ def test_cli_search(tmp_path, capsys):
                         "--levels", "3"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: levels must be in 4..8, got 3")
+
+
+def test_cli_search_refuses_n_past_the_coordinate_grid(tmp_path, capsys):
+    # the record size is computed, not built as a struct of 2n fields, so a
+    # huge n ends in a typed error, and the empty file does not hide it
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    ten = tmp_path / "ten.bin"
+    ten.write_bytes(bytes(10))
+    too_many = ("no 100000000000 points with 16-bit coordinates are in "
+                "general position; at most 131072 are")
+    for db, n, width, message in (
+            (empty, "100000000000", [], too_many),
+            (ten, "100000000000", [], too_many),
+            (empty, "513", ["--width", "8"],
+             "no 513 points with 8-bit coordinates are in general position; "
+             "at most 512 are"),
+            (ten, "131072", [], "file size 10 is not a multiple of the record "
+             "size 524288 (n=131072, width=16)")):
+        assert run_cli(["search", "--db", str(db), "--n", n, "--levels", "4"]
+                       + width) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(OutOfRange, match="at most 131072"):
+        list(iter_order_types(b"", 10 ** 11))
+
+
+def test_cli_dc_table_refuses_counts_past_the_print_limit(monkeypatch, capsys):
+    from chirotri import cli
+    from chirotri.doublecircle import AsymptoticRow, asymptotic_report
+    limit = sys.get_int_max_str_digits()
+
+    def never(*args, **kwargs):
+        raise AssertionError("table built")
+
+    # refused before the table is built: D(4100) has about 4,417 digits,
+    # and a table to 10^11 or 10^22 would not fit in memory
+    monkeypatch.setattr(cli, "asymptotic_report", never)
+    for kmax in ("4100", "100000000000", "10000000000000000000000"):
+        assert run_cli(["dc-table", "--kmax", kmax]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: --kmax {kmax}: D({kmax}) has more than {limit} digits, "
+            f"above Python's limit for printing an integer\n"))
+    if limit == 4300:
+        # D(3990) has 4,299 digits and prints, so it is not refused up front
+        with pytest.raises(AssertionError, match="table built"):
+            run_cli(["dc-table", "--kmax", "3990"])
+    # a count at the bound is checked after the table, before any output
+    def report(ks, dps=None):
+        rows = asymptotic_report(ks, dps=dps)
+        last = rows[-1]
+        return rows[:-1] + [AsymptoticRow(last.k, 10 ** limit, last.estimate,
+                                          last.ratio)]
+
+    monkeypatch.setattr(cli, "asymptotic_report", report)
+    for fmt in ("csv", "json"):
+        assert run_cli(["dc-table", "--kmax", "6", "--format", fmt]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: --kmax 6: D(6) has more than {limit} digits, above "
+            f"Python's limit for printing an integer\n"))
 
 
 def test_cli_search_rejects_negative_top(tmp_path, capsys):

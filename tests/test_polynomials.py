@@ -16,7 +16,7 @@ from chirotri import (BivarPoly, EmptyInput, InternalInvariantViolation,
                       swap_vars, try_split, twist)
 from chirotri import polynomials
 
-from helpers import UnivarSpec, random_rooted
+from helpers import BivarSpec, UnivarSpec, random_rooted
 
 U = UnivarPoly
 B = BivarPoly
@@ -168,18 +168,18 @@ def test_count_weak_join_same_operand_once(monkeypatch):
     for p in seeds + [join_P(seeds[0], seeds[1]), meet_P(seeds[1], seeds[2])]:
         copy = B(dict(p._c))
         calls = []
-        real = polynomials._pack_rows
+        real = polynomials._totals
 
-        def counted(q, low, k):
+        def counted(q, by_v):
             calls.append(q)
-            return real(q, low, k)
+            return real(q, by_v)
 
         for kind in ("join", "meet"):
-            monkeypatch.setattr(polynomials, "_pack_rows", counted)
+            monkeypatch.setattr(polynomials, "_totals", counted)
             calls.clear()
             got = count_weak_join(p, p, kind)
             assert len(calls) == 1
-            monkeypatch.setattr(polynomials, "_pack_rows", real)
+            monkeypatch.setattr(polynomials, "_totals", real)
             assert got == count_weak_join(p, copy, kind)
             full = join_P(p, copy) if kind == "join" else meet_P(p, copy)
             assert got == full(1, 1)
@@ -287,6 +287,8 @@ def _coefficient_view(p):
         "swap_terms": swap_vars(p).terms(),
         "repr": repr(p),
         "at": p(2, 3),
+        "weak_counts": (count_weak_join(p, p, "join"),
+                        count_weak_join(p, p, "meet")),
     }
 
 
@@ -297,9 +299,9 @@ def test_factored_result_agrees_with_its_expansion(p1, p2):
     if factored.is_zero():
         return
     lazy = _factor_view(factored)
-    assert factored._coeffs is None  # nothing above expanded it
+    assert factored._rows is None  # nothing above expanded it
     expanded = B(dict(factored._c))
-    assert expanded._factors is None
+    assert expanded._rows is not None
     assert _factor_view(expanded) == lazy
     assert _coefficient_view(expanded) == _coefficient_view(factored)
     assert factored == expanded and expanded == factored
@@ -376,6 +378,62 @@ def test_univar_poly_matches_dict_spec(d1, d2, m, k, x):
                 p.shift(j)
         else:
             _check_against_spec(p.shift(j), want, x)
+
+
+_bivar_dict = st.one_of(
+    st.just({}),
+    st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 40)), _coeff,
+                    max_size=6),
+    st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 4)),
+                    st.one_of(_coeff, st.just(0)), max_size=14),
+    _rank1.map(lambda p: dict(p.terms())))
+
+
+def _check_bivar_against_spec(got, want, x, y):
+    """Every read of ``got`` answers as the dict spec ``want`` does."""
+    assert got.terms() == want.terms()
+    assert got.to_json() == want.to_json()
+    back = B.from_json(got.to_json())
+    assert back == got and got == back and hash(back) == hash(got)
+    assert got == B(want.c) and hash(got) == hash(B(want.c))
+    assert got(x, y) == want(x, y)
+    assert got.u_slices() == want.u_slices()
+    assert got.is_zero() == (not want.c)
+    split = try_split(got)
+    if not want.c:
+        for read in (got.min_u_exp, got.min_v_exp, lambda: q_from_p(got)):
+            with pytest.raises(EmptyInput):
+                read()
+        assert split is None
+        return
+    assert (got.min_u_exp(), got.min_v_exp()) == (want.min_u(), want.min_v())
+    assert q_from_p(got) == U(want.q())
+    assert (split is not None) == want.rank_one()
+    if split is not None:
+        assert _outer(split) == want.c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bivar_dict, _bivar_dict, st.integers(-3, 3), st.integers(-3, 3))
+def test_bivar_poly_matches_dict_spec(d1, d2, x, y):
+    p, q = B(d1), B(d2)
+    sp, sq = BivarSpec(d1), BivarSpec(d2)
+    assert (p == q) == (sp.c == sq.c)
+    for got, want in ((p, sp), (q, sq), (swap_vars(p), sp.swap()),
+                      (swap_vars(swap_vars(p)), sp)):
+        _check_bivar_against_spec(got, want, x, y)
+        split = try_split(got)
+        if split is not None:  # the same polynomial, held as its factors
+            factored = B._from_factors(*split)
+            _check_bivar_against_spec(factored, want, x, y)
+            _check_bivar_against_spec(swap_vars(factored), want.swap(), x, y)
+
+
+@pytest.mark.parametrize("key", [(1.5, 2), (True, 2), (2, False), ("a", 2),
+                                 (-1, 0), (0, -3), 5, (1, 2, 3), None])
+def test_bivar_poly_refuses_bad_exponent_pairs(key):
+    with pytest.raises(OutOfRange, match="bad exponent pair"):
+        B({key: 1})
 
 
 def test_univar_shift_keeps_one_row():
