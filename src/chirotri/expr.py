@@ -493,11 +493,14 @@ def _shared(e) -> set:
 
 
 def _eval(e, ops: dict, memo: dict):
-    """Value of ``e`` under ``ops``, each distinct node computed once.
+    """Value of ``e`` under ``ops``; a node that the tree of ``e`` reaches
+    more than once is computed once.
 
-    ``memo`` holds a key for every node that the tree reaches more than
-    once, with its value, or None until that is computed. Other nodes are
-    not kept, so a chain keeps none of its intermediate values alive.
+    ``memo`` holds a key for every such node, with its value, or None until
+    that is computed. Other nodes are not kept, so a chain keeps none of its
+    intermediate values alive. A generator rewrite is walked by its own
+    call, so a node reached once in each of two rewrites (the left spine
+    that ``convex(199)`` shares with ``convex(200)``) is computed in both.
     """
     for node in _shared(e):
         memo.setdefault(node, None)
