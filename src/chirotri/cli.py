@@ -237,11 +237,15 @@ def main(argv=None) -> int:
     """Console entry point: run_cli, then flush stdout.
 
     A reader that closes the pipe early (``chirotri poly ... | head``) ends
-    the run with exit code 1 and no traceback.
+    the run with exit code 1 and no traceback. Ctrl-C (SIGINT) ends it with
+    exit code 130 and one ``interrupted`` line on stderr.
     """
     try:
         code = run_cli(argv)
         sys.stdout.flush()
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except BrokenPipeError:
         # point stdout at devnull so the interpreter's final flush is silent
         devnull = os.open(os.devnull, os.O_WRONLY)

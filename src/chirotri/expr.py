@@ -44,7 +44,7 @@ from .polynomials import join_P, meet_P, swap_vars
 
 
 def _hash_once(self):
-    key = tuple(getattr(self, f.name) for f in fields(self))
+    key = tuple([getattr(self, name) for name in self._field_names])
     object.__setattr__(self, "_hash", hash((type(self).__name__, key)))
 
 
@@ -61,8 +61,8 @@ def _spine_eq(self, other):
         if type(a) is not type(b) or a._hash != b._hash:
             return False
         if not isinstance(a, (Join, Meet)):
-            return all(getattr(a, f.name) == getattr(b, f.name)
-                       for f in fields(a))
+            return all(getattr(a, name) == getattr(b, name)
+                       for name in a._field_names)
         if a.right != b.right:
             return False
         a, b = a.left, b.left
@@ -76,12 +76,15 @@ def _node(cls):
     hash would recurse through the whole subtree each time, which is O(k^2)
     over a left-nested chain of k joins. For the same reason equality loops
     down left children: the generated one recurses, and two equal chains of
-    a thousand joins would exceed the recursion limit.
+    a thousand joins would exceed the recursion limit. The field names are
+    read once per class, not once per node.
     """
     cls.__post_init__ = _hash_once
     cls.__hash__ = _cached_hash
     cls.__eq__ = _spine_eq
-    return dataclass(frozen=True)(cls)
+    cls = dataclass(frozen=True)(cls)
+    cls._field_names = tuple(f.name for f in fields(cls))
+    return cls
 
 
 @_node

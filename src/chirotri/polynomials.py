@@ -19,6 +19,13 @@ transposes the rows. Whether a BivarPoly factors as (polynomial in u) *
 (polynomial in v) is decided when it is built. A merge of two operands that
 factor returns a BivarPoly that keeps the two factors of the result and
 builds its rows only when something reads them.
+
+A Koch chain merges a polynomial with itself at every level, and every
+caller passes such a self-merge on as one object. The recurrence is then
+symmetric, so ``_merge_core`` builds only the rows' half on and above the
+diagonal, and the product of the two v-parts (u-parts for a meet) is a
+square, which ``UnivarPoly`` computes as one big-integer square (Kronecker
+substitution).
 """
 
 from __future__ import annotations
@@ -122,18 +129,51 @@ class UnivarPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return UnivarPoly.from_row([c * other for c in self._r], self._lo)
+        if other is self:
+            return self._square()
         short, long = ((self, other) if len(self._r) <= len(other._r)
                        else (other, self))
         if not short._r:
             return short
-        lr = long._r
+        sr, lr = short._r, long._r
         width = len(lr)
-        out = [0] * (len(short._r) + width - 1)
-        for i, c in enumerate(short._r):
+        # the first row is assigned; a unit coefficient adds the long row
+        # as it is
+        c = sr[0]
+        out = (lr if c == 1 else [c * x for x in lr]) + [0] * (len(sr) - 1)
+        for i in range(1, len(sr)):
+            c = sr[i]
             if c:
                 out[i:i + width] = map(add, out[i:i + width],
-                                       map(c.__mul__, lr))
+                                       lr if c == 1 else map(c.__mul__, lr))
         return UnivarPoly.from_row(out, short._lo + long._lo)
+
+    def _square(self) -> "UnivarPoly":
+        """self * self by one big-integer square (Kronecker substitution).
+
+        The row is packed at u = 2^k, with k large enough that no
+        coefficient of the square, at most len * max|c|^2 in absolute
+        value, overflows a slot; the square is unpacked into the row of the
+        result. A negative coefficient goes into a second packed integer
+        that is subtracted.
+        """
+        r = self._r
+        if not r:
+            return self
+        bits = 2 * max(c.bit_length() for c in r) + len(r).bit_length() + 1
+        k = -(-bits // 8) * 8
+        width = k // 8
+        zero = bytes(width)
+
+        def pack(row):
+            return int.from_bytes(b"".join(
+                c.to_bytes(width, "little") if c > 0 else zero for c in row),
+                "little")
+        x = pack(r)
+        if any(c < 0 for c in r):
+            x -= pack([-c for c in r])
+        return UnivarPoly.from_row(list(_unpacker(k, 2 * len(r) - 1)(x * x)),
+                                   2 * self._lo)
 
     __rmul__ = __mul__
 
@@ -324,6 +364,9 @@ class BivarPoly:
         return hash((self._u0, self._v0, self._grid()))
 
     def __call__(self, u, v):
+        if self._factors is not None:
+            u_part, v_part = self._factors
+            return u_part(u) * v_part(v)
         return sum(c * u ** a * v ** b for (a, b), c in self.terms())
 
     def __repr__(self):
@@ -410,31 +453,90 @@ def _merge_core(a: list, b: list) -> list:
 
     satisfies G(i1, i2) = a[i1+1] b[i2+1] + G(i1+1, i2) + G(i1, i2+1). The
     coefficient of u^e is the sum of G(i1, i2) over i1 + i2 = e plus the
-    products a[d1] b[d2] with d1 + d2 - 1 = e. Rows of G are built from
-    i1 = top1 - 1 down to 1, so the whole merge costs O(D1*D2) products
-    and additions. N(d1, d2) = N(d2, d1), so the operand of lower degree
-    indexes the rows and each row is one long vectorized step; a zero entry
-    of that operand adds no products to its row.
+    products a[d1] b[d2] with d1 + d2 - 1 = e. Rows of G are built from the
+    top live row of ``a`` down to i1 = 1, so the whole merge costs O(D1*D2)
+    products and additions. N(d1, d2) = N(d2, d1), so the operand of lower
+    degree indexes the rows and each row is one long vectorized step.
+
+    Row i1 is the suffix sum over i2 of x(i2) = a[i1+1] b[i2+1] + G(i1+1, i2),
+    and x(i2) is also the whole contribution at u^(i1+i2+1) of the products
+    of row i1 and of G on row i1 + 1; so each row adds x once into the
+    result, and G's last row is added as the x of a row i1 = 0 without
+    products. Rows run with i2 descending, so the suffix sum is a prefix
+    sum, and the result is built from its top exponent down: each row adds
+    into what the rows above it wrote and appends its one new exponent,
+    never adding into a zero. A unit or zero entry of ``a`` multiplies
+    nothing. When ``a`` and ``b`` are one list, the merge is symmetric and
+    ``_merge_self`` builds half of G.
     """
+    if a is b:
+        return _merge_self(a)
     if len(a) > len(b):
         a, b = b, a
-    top1, top2 = len(a) - 1, len(b) - 1
-    width = top2 - 1
-    b_row = b[2:]  # b[i2 + 1], i2 = 1..top2-1
-    out = [0] * (top1 + top2)
-    g = [0] * width  # G(i1 + 1, i2), i2 = 1..top2-1
-    for i1 in range(top1 - 1, 0, -1):
-        c1 = a[i1 + 1]
-        if c1:
-            prods = b_row if c1 == 1 else [c1 * c2 for c2 in b_row]
-            # a[i1+1] b[i2+1] lands at u^(i1+i2+1); G(i1, i2) at u^(i1+i2)
-            out[i1 + 2:i1 + 2 + width] = map(add, out[i1 + 2:i1 + 2 + width],
-                                             prods)
-            g = list(accumulate(map(add, reversed(prods), reversed(g))))[::-1]
-        else:
-            g = list(accumulate(reversed(g)))[::-1]
-        out[i1 + 1:i1 + 1 + width] = map(add, out[i1 + 1:i1 + 1 + width], g)
-    return out
+    size = len(a) + len(b) - 2
+    top1 = len(a) - 1
+    while top1 > 1 and not a[top1]:
+        top1 -= 1
+    b_rev = b[:1:-1]  # b[i2 + 1] for i2 = top2 - 1 down to 1
+    width = len(b_rev)
+    if top1 < 2 or not width:
+        return [0] * size
+    c1 = a[top1]
+    x = b_rev if c1 == 1 else [c1 * c2 for c2 in b_rev]  # row top1 - 1
+    # the result from its top exponent down: acc[q] is the coefficient of
+    # u^(top1 + top2 - 1 - q)
+    acc = x[:]
+    for c1 in a[top1 - 1:1:-1] + [0]:  # rows top1 - 2 down to 1, then 0
+        g = list(accumulate(x))  # G of the row above
+        x = (list(map(add, g, b_rev if c1 == 1 else map(c1.__mul__, b_rev)))
+             if c1 else g)
+        lo = len(acc) - width + 1
+        acc[lo:] = map(add, acc[lo:], x)
+        acc.append(x[-1])
+    acc += (0, 0)
+    acc.reverse()
+    return acc + [0] * (size - len(acc))
+
+
+def _merge_self(a: list) -> list:
+    """``_merge_core(a, a)``, from the half i2 >= i1 of G.
+
+    G(i1, i2) = G(i2, i1), so row i1 holds G(i1, i2) for i2 > i1 as the
+    suffix sum of x(i2) = a[i1+1] a[i2+1] + G(i1+1, i2), where G(i1+1, i1+1)
+    is the diagonal of the row above, and then its own diagonal
+    G(i1, i1) = a[i1+1]^2 + 2 G(i1, i1+1). The result accumulates each x
+    as ``_merge_core`` does: every product a[d1] a[d2] with d1 < d2 and
+    every G(i1, i2) with i1 < i2 once, each diagonal G once. The ordered
+    sum counts the first two twice, so the sums are doubled once at the
+    end; then each diagonal G is taken back once, and each square a[d]^2
+    is added once at u^(2d - 1).
+    """
+    size = 2 * len(a) - 2
+    top = len(a) - 1
+    while top > 1 and not a[top]:
+        top -= 1
+    if top < 2:
+        return [0] * size
+    a_rev = a[top:1:-1]  # a[i2 + 1] for i2 = top - 1 down to 1
+    squares = [c * c for c in a_rev]
+    # acc[q] is the coefficient of u^(2 top - 1 - q); row top - 1 of G is
+    # its diagonal alone, and u^(2 top - 1) gets only the square a[top]^2
+    x, acc, diagonal = [], [0], []
+    for n, c1 in enumerate(a_rev[1:] + [0], 1):  # row top - 1 - n
+        g = list(accumulate(x))  # G of the row above, then its diagonal
+        sq = squares[n - 1]
+        g.append(sq + 2 * g[-1] if g else sq)
+        diagonal.append(g[-1])
+        x = (list(map(add, g, a_rev if c1 == 1 else map(c1.__mul__, a_rev)))
+             if c1 else g)
+        acc[n:] = map(add, acc[n:], x)
+        acc += x[len(acc) - n:]
+    # u^(2i + 1) gets a[i+1]^2 and u^(2i) gets G(i, i), i = top - 1 down to 1
+    acc[0::2] = [s + s + c for s, c in zip(acc[0::2], squares)]
+    acc[1::2] = [s + s - d for s, d in zip(acc[1::2], diagonal)]
+    acc += (0, 0)
+    acc.reverse()
+    return acc + [0] * (size - len(acc))
 
 
 def join_Q(q1: UnivarPoly, q2: UnivarPoly) -> UnivarPoly:
@@ -442,7 +544,8 @@ def join_Q(q1: UnivarPoly, q2: UnivarPoly) -> UnivarPoly:
     for q in (q1, q2):
         if q.is_zero() or q.min_exp < 2:
             raise OutOfRange("operand polynomials need minimum exponent >= 2")
-    return UnivarPoly.from_row(_merge_core(q1.row(), q2.row()))
+    row = q1.row()
+    return UnivarPoly.from_row(_merge_core(row, row if q2 is q1 else q2.row()))
 
 
 def _pack(rows: tuple, u0: int, k: int) -> list:
@@ -491,7 +594,9 @@ def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
     it is returned in factored form. Otherwise the merge runs on the rows:
     each row, a v-polynomial, is packed into one integer at v = 2^k, with k
     large enough that no coefficient of the result overflows a slot, and
-    each merged integer is unpacked into a row of the result.
+    each merged integer is unpacked into a row of the result. When both
+    operands are one object, its factors or its packed rows are passed on
+    as one object, so the merge takes the symmetric path.
     """
     if p1.is_zero() or p2.is_zero():
         raise EmptyInput("zero operand polynomial")
@@ -512,7 +617,9 @@ def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
     top2 = p2._u0 + len(rows2) - 1
     bound = comb(top1 + top2 - 2, top1 - 1) * _abs_sum(rows1) * _abs_sum(rows2)
     k = -(-(bound.bit_length() + 1) // 8) * 8
-    merged = _merge_core(_pack(rows1, p1._u0, k), _pack(rows2, p2._u0, k))
+    packed = _pack(rows1, p1._u0, k)
+    merged = _merge_core(packed,
+                         packed if p2 is p1 else _pack(rows2, p2._u0, k))
     unpack = _unpacker(k, slots)
     zero = (0,) * slots
     rows = [unpack(x) if x else zero for x in merged]
@@ -537,8 +644,12 @@ def swap_vars(p: BivarPoly) -> BivarPoly:
 
 
 def meet_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
-    """Weak-triangulation polynomial of a meet: the join with roles swapped."""
-    return swap_vars(join_P(swap_vars(p1), swap_vars(p2)))
+    """Weak-triangulation polynomial of a meet: the join with roles swapped.
+
+    A self-meet swaps its operand once, so the join sees one object twice.
+    """
+    s1 = swap_vars(p1)
+    return swap_vars(join_P(s1, s1 if p2 is p1 else swap_vars(p2)))
 
 
 def q_from_p(p: BivarPoly) -> UnivarPoly:

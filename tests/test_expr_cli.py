@@ -1,13 +1,16 @@
 """Expression language, order-type ingestion, search harness, CLI surface."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import os
 import random
+import signal
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -88,7 +91,11 @@ _trees = st.recursive(_atoms, lambda kids: st.one_of(
 @example(parse_expr('load("x.pts", 0)'))
 @example(parse_expr("join(triangle, triangle, chi1)"))
 def test_print_roundtrip(tree):
-    assert parse_expr(print_expr(tree)) == tree
+    back = parse_expr(print_expr(tree))
+    assert back == tree and hash(back) == hash(tree)
+    # a node hashes as its type name with the tuple of its field values
+    key = tuple(getattr(tree, f.name) for f in dataclasses.fields(tree))
+    assert hash(tree) == hash((type(tree).__name__, key))
 
 
 def test_long_chains_print_flat_and_reparse():
@@ -690,6 +697,25 @@ def test_cli_closed_pipe_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_cli_ctrl_c_exits_130_with_one_line():
+    # koch(14) runs far longer than the test; SIGINT lands in its merges
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chirotri", "count", "--method", "poly",
+         "koch(14)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src())
+    try:
+        time.sleep(1)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 130
+    assert err == b"interrupted\n"
+    assert out == b""
 
 
 def test_cli_poly_unwritable_out_is_a_domain_error(tmp_path, capsys):

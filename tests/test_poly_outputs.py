@@ -1,10 +1,15 @@
 """Polynomial route: pinned stdout of ``poly --which P``, ``poly --which Q``
-and ``count --method poly`` over chains, trees and loaded point sets."""
+and ``count --method poly`` over chains, trees and loaded point sets, and
+of the deep Koch levels 9 and 10."""
 
 import hashlib
 import random
+from math import gcd
 
-from chirotri import chirotope_from_points
+import pytest
+
+from chirotri import (EvalMode, UnivarPoly, chirotope_from_points, eval_expr,
+                      parse_expr, try_split)
 from chirotri.cli import run_cli
 
 from helpers import random_point_set
@@ -44,3 +49,33 @@ def test_poly_outputs_are_pinned(tmp_path, capsys):
             assert err == ""
             h.update(out.encode())
     assert h.hexdigest()[:16] == "db1c84ae5e306032"
+
+
+def _canonical_factors(p):
+    """The factors (U, V) of a factored P with V its lowest-u row over the
+    gcd of that row's entries: one pair per polynomial, whatever the scale
+    of the factors it holds."""
+    u, v = try_split(p)
+    s = gcd(*(c for _, c in v.terms()))
+    if u.terms()[0][1] < 0:
+        s = -s
+    return (UnivarPoly({e: c * s for e, c in u.terms()}),
+            UnivarPoly({e: c // s for e, c in v.terms()}))
+
+
+@pytest.mark.parametrize("level, digest", [(9, "e6e4caee02f7694d"),
+                                           (10, "80825a47e888014e")])
+def test_deep_koch_outputs_are_pinned(level, digest, capsys):
+    # ``poly --which P`` would print about 80 MB at level 9 and 650 MB at
+    # level 10; P factors, so its two canonical factors stand for it
+    e = f"koch({level})"
+    h = hashlib.sha256()
+    for argv in (["poly", e, "--which", "Q"], ["count", "--method", "poly", e]):
+        assert run_cli(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == ""
+        h.update(out.encode())
+    for factor in _canonical_factors(eval_expr(parse_expr(e),
+                                               EvalMode.POLYNOMIAL)):
+        h.update(factor.to_json().encode())
+    assert h.hexdigest()[:16] == digest

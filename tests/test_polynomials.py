@@ -6,7 +6,7 @@ import tracemalloc
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirotri import (BivarPoly, EmptyInput, InternalInvariantViolation,
@@ -456,3 +456,109 @@ def test_polynomial_basics():
     assert B({(2, 1): 5})(1, 1) == 5
     with pytest.raises(OutOfRange):
         U({-1: 2})
+
+
+# -- self-merges: one object as both operands ----------------------------------
+
+# rows indexed by root degree, zero below degree 2: signed and zero entries,
+# top degree 2 included
+_core_row = st.lists(st.one_of(st.just(0), st.integers(-3, 3), _coeff),
+                     min_size=1, max_size=14).map(lambda r: [0, 0] + r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_core_row)
+@example([0, 0, 1])
+@example([0, 0, 0])
+@example([0, 0, 3, 0, 0])
+def test_symmetric_merge_core_matches_the_general_one(a):
+    from chirotri.polynomials import _merge_core
+    assert _merge_core(a, a) == _merge_core(a, list(a))
+
+
+def _self_merge_operands():
+    """Koch levels (factored) and brute_P of seeded point sets (mostly not)."""
+    from chirotri import EvalMode, eval_expr, parse_expr
+    ops = [eval_expr(parse_expr(f"koch({i})"), EvalMode.POLYNOMIAL)
+           for i in range(1, 7)]
+    assert all(try_split(p) is not None for p in ops)
+    rng = random.Random(131)
+    seeded = [brute_P(random_rooted(n, rng)) for n in (4, 5, 6, 7, 7)]
+    seeded += [join_P(seeded[0], seeded[1]), meet_P(seeded[2], seeded[3])]
+    assert sum(try_split(p) is None for p in seeded) >= 3
+    return ops + seeded
+
+
+def test_self_merges_equal_merges_with_a_copy():
+    for p in _self_merge_operands():
+        copy = B.from_rows(p._grid(), p._u0, p._v0)
+        assert copy is not p and copy == p
+        assert join_P(p, p) == join_P(p, copy)
+        assert meet_P(p, p) == meet_P(p, copy)
+        for kind in ("join", "meet"):
+            assert count_weak_join(p, p, kind) == count_weak_join(p, copy, kind)
+
+
+def test_self_merges_reach_the_symmetric_paths(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(polynomials, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(polynomials, name, wrapped)
+    spy("_merge_self")
+    spy("_pack")
+    squares = []
+    real_square = U._square
+    monkeypatch.setattr(U, "_square",
+                        lambda q: squares.append(q) or real_square(q))
+    q = U({2: 3, 4: -1})
+    join_Q(q, q)
+    assert calls == ["_merge_self"]
+    general = brute_P(random_rooted(6, random.Random(7)))
+    assert try_split(general) is None
+    for merge in (join_P, meet_P):
+        calls.clear()
+        merge(general, general)
+        assert calls == ["_pack", "_merge_self"]
+    factored = B({(2, 2): 1, (2, 3): 2, (3, 2): 3, (3, 3): 6})
+    for merge in (join_P, meet_P):
+        calls.clear()
+        squares.clear()
+        merge(factored, factored)
+        assert calls == ["_merge_self"] and len(squares) == 1
+
+
+# signed coefficients with gaps, shifted so the lowest exponent is above 0
+_gapped = st.tuples(st.dictionaries(st.integers(0, 30),
+                                    st.one_of(st.just(0), _coeff),
+                                    min_size=1, max_size=8),
+                    st.integers(1, 10 ** 6)).map(lambda dk: U(dk[0]).shift(dk[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gapped)
+@example(U({}))
+@example(U({3: 1, 9: -1}))
+@example(U({e: 2 ** 64 - 1 for e in range(1, 9)}))  # the slot bound is tight
+@example(U({e: (-1) ** e * (2 ** 64 - 1) for e in range(1, 9)}))
+def test_square_matches_the_product_with_a_copy(q):
+    copy = U(dict(q.terms()))
+    assert copy is not q
+    spec = UnivarSpec(dict(q.terms()))
+    _check_against_spec(q * q, spec * spec, 2)
+    assert q * q == q * copy
+
+
+def test_factored_evaluation_reads_the_factors():
+    for p in _self_merge_operands()[:6]:
+        for merged in (join_P(p, p), meet_P(p, p)):
+            terms = merged.terms()
+            lazy = B._from_factors(*try_split(merged))
+            for u, v in ((1, 1), (2, 3), (-1, 2), (3, -2)):
+                assert lazy(u, v) == sum(c * u ** a * v ** b
+                                         for (a, b), c in terms)
+            assert lazy._rows is None  # evaluated from the factors alone
