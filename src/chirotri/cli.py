@@ -72,14 +72,16 @@ def _cmd_count(args) -> int:
     else:
         tree = parse_expr(args.input)
     p = eval_expr(tree, EvalMode.POLYNOMIAL, oracle_cap=args.oracle_cap)
-    print(q_from_p(p)(1))
+    total = q_from_p(p)(1)
+    print(_printed(lambda: str(total), "the count"))
     return 0
 
 
 def _cmd_poly(args) -> int:
     p = eval_expr(parse_expr(args.expr), EvalMode.POLYNOMIAL,
                   oracle_cap=args.oracle_cap)
-    out = q_from_p(p).to_json() if args.which == "Q" else p.to_json()
+    poly = q_from_p(p) if args.which == "Q" else p
+    out = _printed(poly.to_json, f"a coefficient of {args.which}")
     if args.out:
         try:
             Path(args.out).write_text(out + "\n")
@@ -90,9 +92,18 @@ def _cmd_poly(args) -> int:
     return 0
 
 
-def _unprintable(kmax: int, limit: int) -> OutOfRange:
-    return OutOfRange(f"--kmax {kmax}: D({kmax}) has more than {limit} digits, "
-                      f"above Python's limit for printing an integer")
+def _unprintable(what: str) -> OutOfRange:
+    return OutOfRange(f"{what} has more than {sys.get_int_max_str_digits()} "
+                      f"digits, above Python's limit for printing an integer")
+
+
+def _printed(text, what: str) -> str:
+    """text(), which prints exact integers; ``_unprintable(what)`` if one of
+    them passes Python's int-to-str limit (a ValueError from str)."""
+    try:
+        return text()
+    except ValueError:
+        raise _unprintable(what) from None
 
 
 def _cmd_dc_table(args) -> int:
@@ -105,14 +116,12 @@ def _cmd_dc_table(args) -> int:
     # nor a float of kmax; the check after the table catches the k at the
     # bound.
     limit = sys.get_int_max_str_digits()  # 0: no limit
+    largest = f"--kmax {args.kmax}: D({args.kmax})"
     if limit and args.kmax - 2 >= ((limit + 1 + 1.5 * math.log10(args.kmax))
                                    / math.log10(12)):
-        raise _unprintable(args.kmax, limit)
+        raise _unprintable(largest)
     rows = asymptotic_report(range(3, args.kmax + 1), dps=args.precision)
-    try:
-        str(rows[-1].exact)  # the largest count: if it prints, all do
-    except ValueError:
-        raise _unprintable(args.kmax, limit) from None
+    _printed(lambda: str(rows[-1].exact), largest)  # if it prints, all do
     if args.format == "csv":
         print("k,exact,estimate,ratio")
         for r in rows:

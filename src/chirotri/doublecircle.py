@@ -17,10 +17,21 @@ with kernel K(z,u) = (u-1)^2 (1 - z u^2) - z u^3. Substituting the two small
 kernel roots u2(x) in (0,1) and u1(x) in (1,2) eliminates F and yields closed
 forms for F(x,1) and dF/du(x,1); their square-root singularity at x = 1/12
 gives the asymptotic constant. All analytics here are numeric at configurable
-precision and validated against the exact integer pipeline. Each kernel root
-is the one that bisection to the working precision returns; Newton's method
-plus the last bisection steps reach that same mpf with O(log prec) Newton
-steps instead of O(prec) halvings.
+precision and validated against the exact integer pipeline.
+
+The same method, carried one step further, gives both small roots in
+radicals (Bousquet-Melou & Jehanne, JCTB 2006). With s = u1 + u2, p = u1 u2,
+
+    K(x,u) = -x (u^2 - s u + p) (u^2 - (1-s) u + q),   q = -1/(x p).
+
+For w = s^2 - s and c = (s-2)/x, the u^2 and u coefficients give
+p = (s (w+1) - c) / (2s-1) (Vieta), and p q = -1/x leaves the eliminant
+factor x (s^2-s+1)^2 - (s^2-s-2) = x w^2 - (1-2x) w + x + 2. Its root w -> 2
+(x -> 0) is (2x+4) / (1-2x+r), r = sqrt(1-12x); s = (1+t)/2, t = sqrt(1+4w);
+c = 36 (2+x) / ((1+3x+r)(1-2x+r)(3+t)) without cancellation; and u1, u2 =
+(s +- sqrt(s^2 - 4p)) / 2. As s^2 - 4p = (u1-u2)^2 ~ 4x cancels about
+log2(1/x) bits of s^2 ~ 4, the radicals get that many guard bits plus 20.
+``_kernel_root`` then makes each root the mpf that bisection returns.
 """
 
 from __future__ import annotations
@@ -226,63 +237,52 @@ def _bisect(f, lo, hi, steps):
     return (lo + hi) / 2
 
 
-def _kernel_root(x, a: int, b: int):
+def _kernel_root(x, a: int, b: int, u):
     """The root of K(x, .) in (a, b) that ``_bisect`` returns after
-    ``mp.prec + 2`` halvings of (a, b), found with far fewer evaluations.
+    ``mp.prec + 2`` halvings of (a, b), resumed near the root u.
 
-    Newton's method at working precision, from a float bisection, finds the
-    root r. The full bisection passes through the dyadic cell of depth
-    j = prec + 2 - margin that holds r: every other midpoint it visits lies
-    at least 2^-j from the root, where K is larger than its rounding error
-    because margin grows with -log2 |K'(r)|, and the two ends of the cell
-    are evaluated here as bisection evaluates them. So bisection resumes at
-    that cell for its last margin halvings and returns the same mpf. If
-    Newton does not settle, or the ends of the cell do not read like f(a)
-    and its opposite, the full bisection runs.
+    The full bisection passes through the dyadic cell of depth
+    j = prec + 2 - margin that holds the root: every midpoint outside it lies
+    at least 2^-j from the root, where K exceeds its rounding error since
+    margin grows with -log2 |K'(u)|. If the ends of the cell that holds u read like f(a)
+    and its opposite, as bisection evaluates them, bisection resumes there
+    for its last margin halvings. Otherwise (j < 1 where K is too flat, or
+    an end where K is 0) it runs in full.
     """
-    f = lambda u: kernel(x, u)
+    f = lambda v: kernel(x, v)
     steps = mp.mp.prec + 2
-    xf = float(x)
-    u = mp.mpf(_bisect(lambda v: kernel(xf, v), float(a), float(b), 53))
-    # from a float start each Newton step about doubles the correct bits
-    for _ in range(steps.bit_length() + 4):
-        d = _kernel_du(x, u)
-        if d == 0:
-            break
-        # margin: 10 bits for K's rounding error of a few units of 2^-prec,
-        # plus the bits a small |K'| loses (mag(d) >= log2 |d| > mag(d) - 1)
-        j = steps - 10 - max(0, 1 - mp.mag(d))
-        du = f(u) / d
-        u -= du
-        if abs(du) < mp.ldexp(1, -j - 3):
-            m = int(mp.floor(mp.ldexp(u - a, j)))  # u in [lo, hi)
-            if j < 1 or not 0 <= m < 2 ** j:
-                break
-            lo = a + mp.ldexp(m, -j)
-            hi = a + mp.ldexp(m + 1, -j)
+    # margin: 10 bits for K's rounding error of a few units of 2^-prec,
+    # plus the bits a small |K'| loses (mag(K') >= log2 |K'| > mag(K') - 1)
+    j = steps - 10 - max(0, 1 - mp.mag(_kernel_du(x, u)))
+    if j >= 1:
+        m = int(mp.floor(mp.ldexp(u - a, j)))  # u in [lo, hi)
+        if 0 <= m < 2 ** j:
+            lo, hi = a + mp.ldexp(m, -j), a + mp.ldexp(m + 1, -j)
             fa, flo, fhi = f(mp.mpf(a)), f(lo), f(hi)
             if flo and fhi and (flo > 0) == (fa > 0) != (fhi > 0):
                 return _bisect(f, lo, hi, steps - j)
-            break
     return _bisect(f, mp.mpf(a), mp.mpf(b), steps)
 
 
 def small_roots(x, dps: int | None = None) -> KernelPoint:
-    """The kernel roots u2 in (0, 1) and u1 in (1, 2) above x.
-
-    Each root is the one bisection to the working precision returns, so the
-    kernel residual at each root is a few units of mp.eps whatever the
-    precision. Newton's method plus the last bisection steps reach that same
-    result (``_kernel_root``).
-    """
+    """The kernel roots u2 in (0, 1) and u1 in (1, 2) above x: the radicals
+    of the module docstring, then the last bisection steps, so each kernel
+    residual is a few units of mp.eps whatever the precision."""
     with _workdps(dps):
         xm = _to_mpf(x)
         if not (0 < xm < mp.mpf(1) / 12):
             raise OutOfRange(f"x={x} outside (0, 1/12)")
-        u2 = _kernel_root(xm, 0, 1)
-        u1 = _kernel_root(xm, 1, 2)
-        tol = 4 * mp.eps
-        if abs(kernel(xm, u1)) > tol or abs(kernel(xm, u2)) > tol:
+        with mp.extraprec(max(0, -mp.mag(xm)) + 20):
+            r = mp.sqrt(1 - 12 * xm)
+            w = (2 * xm + 4) / (1 - 2 * xm + r)
+            t = mp.sqrt(1 + 4 * w)
+            s = (1 + t) / 2
+            c = 36 * (2 + xm) / ((1 + 3 * xm + r) * (1 - 2 * xm + r) * (3 + t))
+            p = (s * (w + 1) - c) / (2 * s - 1)
+            d = mp.sqrt(s * s - 4 * p)
+            u1, u2 = (s + d) / 2, (s - d) / 2
+        u1, u2 = _kernel_root(xm, 1, 2, u1), _kernel_root(xm, 0, 1, u2)
+        if max(abs(kernel(xm, u1)), abs(kernel(xm, u2))) > 4 * mp.eps:
             raise NumericalInstability("kernel root residual above tolerance")
         return KernelPoint(xm, u1, u2)
 

@@ -168,7 +168,7 @@ SPEC_XS = (Fraction(1, 10 ** 8), Fraction(1, 1000), Fraction(1, 20),
 
 def _spy_full_bisections(monkeypatch):
     """Record the calls of ``_bisect`` that halve a whole bracket to the
-    working precision, i.e. that skip the Newton jump."""
+    working precision, i.e. that do not resume near the radical root."""
     full = []
     real = doublecircle._bisect
 
@@ -188,19 +188,78 @@ def test_small_roots_match_bisection_spec(monkeypatch, dps):
     for x in xs:
         pt = small_roots(x, dps=dps)
         assert (pt.u1, pt.u2) == small_roots_bisection(x, dps), x
-    # the Newton jump, not the full bisection, finds nearly every root
+    # the radicals, not the full bisection, find nearly every root
     assert len(full) <= 2
 
 
 @pytest.mark.parametrize("x, dps", [(Fraction(11, 149), 300),
                                     (Fraction(8, 115), 15)])
 def test_small_roots_fallback_matches_bisection_spec(monkeypatch, x, dps):
-    # Newton lands on a point where K evaluates to exactly 0, so the cell
-    # check fails and u1 comes from the full bisection
+    # K evaluates to exactly 0 at an end of the cell that holds the radical
+    # root, so the cell check fails and u1 comes from the full bisection
     full = _spy_full_bisections(monkeypatch)
     pt = small_roots(x, dps=dps)
     assert full == [(1, 2)]
     assert (pt.u1, pt.u2) == small_roots_bisection(x, dps)
+
+
+def test_small_roots_flat_kernel_takes_the_full_bisection(monkeypatch):
+    # at x = 10^-30 and 15 digits |K'| ~ 2 sqrt(x) leaves no cell depth
+    # j >= 1, so both roots come from the full bisection
+    full = _spy_full_bisections(monkeypatch)
+    x = Fraction(1, 10 ** 30)
+    pt = small_roots(x, dps=15)
+    assert full == [(1, 2), (0, 1)]
+    assert (pt.u1, pt.u2) == small_roots_bisection(x, 15)
+
+
+def _radical_roots(monkeypatch, x, dps):
+    """small_roots(x, dps) and the radical roots (u1, u2) it started from."""
+    seen = {}
+    real = doublecircle._kernel_root
+
+    def spy(xm, a, b, u):
+        seen[a] = u
+        return real(xm, a, b, u)
+
+    monkeypatch.setattr(doublecircle, "_kernel_root", spy)
+    return small_roots(x, dps=dps), seen[1], seen[0]
+
+
+@pytest.mark.parametrize("x, dps", [
+    *((x, 30) for x in SPEC_XS),
+    (Fraction(1, 12) - Fraction(1, 10 ** 30), 60),
+    (Fraction(1, 10 ** 40), 60)])
+def test_radical_roots_match_bisection_spec(monkeypatch, x, dps):
+    # bisection resumed at the radical roots returns the spec's roots; the
+    # radicals themselves lie within a few units of mp.eps of the roots of
+    # K(pt.x, .), also near x = 0, where s^2 - 4p ~ 4x cancels and only the
+    # guard bits keep them so
+    pt, r1, r2 = _radical_roots(monkeypatch, x, dps)
+    assert (pt.u1, pt.u2) == small_roots_bisection(x, dps)
+    ref = small_roots(pt.x, dps=2 * dps)
+    with mp.workdps(dps):
+        assert abs(r1 - ref.u1) <= 4 * mp.eps, (r1, ref.u1)
+        assert abs(r2 - ref.u2) <= 4 * mp.eps, (r2, ref.u2)
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 10 ** 6), Fraction(1, 1000),
+                               Fraction(1, 20), Fraction(3, 40), Fraction(1, 13)])
+def test_radical_roots_factor_the_kernel(monkeypatch, x):
+    # K = -x (u^2 - s u + p)(u^2 - (1-s) u + q) with s = u1 + u2, p = u1 u2
+    # and q = -1/(x p): the expanded coefficients are K's
+    dps = 200
+    _, r1, r2 = _radical_roots(monkeypatch, x, dps)
+    with mp.workdps(dps):
+        xm = mp.mpf(x.numerator) / x.denominator
+        s, p = r1 + r2, r1 * r2
+        q = -1 / (xm * p)
+        first, second = (1, -s, p), (1, -(1 - s), q)
+        coeffs = [-xm * mp.fsum(first[i] * second[k - i]
+                               for i in range(max(0, k - 2), min(k, 2) + 1))
+                  for k in range(5)]
+        for got, want in zip(coeffs, (-xm, xm, 1 - xm, -2, 1)):
+            assert abs(got - want) < mp.mpf(10) ** -190, (got, want)
 
 
 def test_f_closed_against_series():

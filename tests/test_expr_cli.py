@@ -573,6 +573,24 @@ def test_cli_numbers_past_the_str_digit_limit(capsys):
         compose.koch(20000)
 
 
+def test_cli_poly_results_past_the_str_digit_limit(capsys):
+    # koch(10) has a count and Q coefficients of more than 640 digits, the
+    # lowest limit Python accepts: both commands end in one typed error line
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv, what in ((["count", "--method", "poly", "koch(10)"],
+                            "the count"),
+                           (["poly", "koch(10)", "--which", "Q"],
+                            "a coefficient of Q")):
+            assert run_cli(argv) == 1, argv
+            assert capsys.readouterr() == ("", (
+                f"error: {what} has more than 640 digits, above Python's "
+                f"limit for printing an integer\n"))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_koch_past_the_cap_is_refused_without_building_its_count(capsys):
     # the level alone shows that 2^i + 2 is above the cap; building the count
     # of koch(10^8) would take about 12 MB per copy
