@@ -15,8 +15,7 @@ from .compose import (LabelMap, chi1, chi_k, convex, double_circle,
                       double_circle_points, join, koch, meet, triangle, twist)
 from .doublecircle import (AsymptoticConstants, KernelPoint, QkTable,
                            asymptotic_report, constants, dc_count, df_series,
-                           f_closed, f_series, functional_equation_residual,
-                           kernel, qk_step, qk_step_closedform, small_roots)
+                           f_closed, f_series, kernel, qk_step, small_roots)
 from .errors import (ChirotriError, ConstructionFailed, EmptyInput,
                      ExprSyntaxError, GeneralPositionViolation,
                      InternalInvariantViolation, InvalidTriple, MalformedFile,
@@ -31,8 +30,7 @@ from .oracle import (DEFAULT_ORACLE_CAP, brute_P, brute_Q,
 from .orderdb import (OrderTypeRecord, iter_order_types, read_order_types,
                       serialize_order_types)
 from .polynomials import (BivarPoly, UnivarPoly, count_weak_join, join_P,
-                          join_Q, meet_P, n_poly, q_from_p, swap_vars,
-                          try_split)
+                          join_Q, meet_P, q_from_p, swap_vars, try_split)
 from .search import SearchRow, koch_variant_search, rank_candidates, seed_score
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ from operator import add, mul
 
 import mpmath as mp
 
-from .errors import InternalInvariantViolation, NumericalInstability, OutOfRange
+from .errors import NumericalInstability, OutOfRange
 from .polynomials import UnivarPoly
 
 DEFAULT_DPS = 50
@@ -89,39 +89,6 @@ def qk_step(q: UnivarPoly) -> UnivarPoly:
     if q.is_zero() or q.min_exp < 2:
         raise OutOfRange("step input needs minimum exponent >= 2")
     return UnivarPoly.from_row(_step(q.row())[0])
-
-
-def _divide_by_u_minus_1(coeffs: list) -> tuple[list, int]:
-    """Synthetic division by (u - 1); returns (quotient coeffs, remainder)."""
-    n = len(coeffs)
-    out = [0] * (n - 1)
-    carry = 0
-    for e in range(n - 1, 0, -1):
-        carry += coeffs[e]
-        out[e - 1] = carry
-    return out, carry + coeffs[0]
-
-
-def qk_step_closedform(q: UnivarPoly) -> UnivarPoly:
-    """One recursion step via the summation-free rational form.
-
-    Builds (q(u) - q(1)) * (u^4 - u^3 + u^2) - q'(1) * u^2 (u - 1) and divides
-    exactly by (u - 1)^2; a nonzero remainder means the input was not a valid
-    step polynomial.
-    """
-    if q.is_zero() or q.min_exp < 2:
-        raise OutOfRange("step input needs minimum exponent >= 2")
-    total = q(1)
-    deriv = q.deriv_at_one()
-    mult = UnivarPoly({4: 1, 3: -1, 2: 1})
-    num = (q - UnivarPoly({0: total})) * mult - deriv * UnivarPoly({3: 1, 2: -1})
-    dense = num.row()
-    for _ in range(2):
-        dense, rem = _divide_by_u_minus_1(dense)
-        if rem != 0:
-            raise InternalInvariantViolation(
-                "closed-form step: division by (u-1)^2 left a remainder")
-    return UnivarPoly.from_row(dense)
 
 
 def _rows(kmax: int):
@@ -318,29 +285,6 @@ def df_series(x, terms: int, table: QkTable | None = None, dps: int | None = Non
     table = _table(table, terms)
     with _workdps(dps):
         return _series(table.deriv, terms, _to_mpf(x))
-
-
-def functional_equation_residual(x, u, terms: int = 80,
-                                 table: QkTable | None = None,
-                                 dps: int | None = None):
-    """|F K - z(u^3 (u-1)^2 - (u^4-u^3+u^2) F(z,1) - u^2 (u-1) dF(z,1))|.
-
-    All three series are truncated at the same order, so the residual is the
-    truncation tail only.
-    """
-    table = _table(table, terms)
-    with _workdps(dps):
-        xm = _to_mpf(x)
-        um = _to_mpf(u)
-        qu = [UnivarPoly.from_row(row)(um) for row, _, _ in _rows(terms)]
-        fu = _series(lambda k: qu[k - 1], terms, xm)
-        f1 = f_series(xm, terms, table, dps=dps)
-        df1 = df_series(xm, terms, table, dps=dps)
-        lhs = fu * kernel(xm, um)
-        rhs = xm * (um ** 3 * (um - 1) ** 2
-                    - (um ** 4 - um ** 3 + um ** 2) * f1
-                    - um ** 2 * (um - 1) * df1)
-        return abs(lhs - rhs)
 
 
 def constants(dps: int | None = None) -> AsymptoticConstants:

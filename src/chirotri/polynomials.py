@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb, gcd
 from operator import add, ne
 
-from .errors import EmptyInput, InternalInvariantViolation, OutOfRange
+from .errors import (EmptyInput, InternalInvariantViolation, MalformedFile,
+                     OutOfRange)
 
 
 class UnivarPoly:
@@ -149,29 +150,16 @@ class UnivarPoly:
         return UnivarPoly.from_row(out, short._lo + long._lo)
 
     def _square(self) -> "UnivarPoly":
-        """self * self by one big-integer square (Kronecker substitution).
-
-        The row is packed at u = 2^k, with k large enough that no
-        coefficient of the square, at most len * max|c|^2 in absolute
-        value, overflows a slot; the square is unpacked into the row of the
-        result. A negative coefficient goes into a second packed integer
-        that is subtracted.
-        """
+        """self * self by one big-integer square (Kronecker substitution):
+        the row is packed at u = 2^k, with k large enough that no coefficient
+        of the square, at most len * max|c|^2 in absolute value, overflows a
+        slot, and the square is unpacked into the row of the result."""
         r = self._r
         if not r:
             return self
         bits = 2 * max(c.bit_length() for c in r) + len(r).bit_length() + 1
         k = -(-bits // 8) * 8
-        width = k // 8
-        zero = bytes(width)
-
-        def pack(row):
-            return int.from_bytes(b"".join(
-                c.to_bytes(width, "little") if c > 0 else zero for c in row),
-                "little")
-        x = pack(r)
-        if any(c < 0 for c in r):
-            x -= pack([-c for c in r])
+        x = _pack_row(r, k)
         return UnivarPoly.from_row(list(_unpacker(k, 2 * len(r) - 1)(x * x)),
                                    2 * self._lo)
 
@@ -213,8 +201,7 @@ class UnivarPoly:
 
     @classmethod
     def from_json(cls, text: str) -> "UnivarPoly":
-        data = json.loads(text)
-        return cls({int(e): int(c) for e, c in data["terms"]})
+        return cls({e: c for (e,), c in _terms_from_json(text, 1).items()})
 
 
 class BivarPoly:
@@ -339,13 +326,6 @@ class BivarPoly:
     def is_zero(self) -> bool:
         return self._factors is None and not self._rows
 
-    def u_slices(self) -> dict[int, dict[int, int]]:
-        """u-exponent -> {v-exponent: coefficient}."""
-        out: dict[int, dict[int, int]] = {}
-        for (a, b), c in self.terms():
-            out.setdefault(a, {})[b] = c
-        return out
-
     def min_u_exp(self) -> int:
         if self.is_zero():
             raise EmptyInput("zero polynomial has no exponents")
@@ -388,8 +368,21 @@ class BivarPoly:
 
     @classmethod
     def from_json(cls, text: str) -> "BivarPoly":
-        data = json.loads(text)
-        return cls({(int(a), int(b)): int(c) for a, b, c in data["terms"]})
+        return cls(_terms_from_json(text, 2))
+
+
+def _terms_from_json(text: str, arity: int) -> dict:
+    """{exponent tuple: coefficient} from the text ``to_json`` writes, with
+    ``arity`` exponents per term; MalformedFile for any other text."""
+    try:
+        terms = json.loads(text)["terms"]
+        out = {tuple(map(int, t[:arity])): int(t[arity]) for t in terms
+               if type(t) is list and len(t) == arity + 1}
+        if len(out) < len(terms):
+            raise ValueError("a term is malformed or repeats exponents")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedFile(f"malformed polynomial text: {exc}") from None
+    return out
 
 
 def _rank_one(rows: tuple, u0: int, v0: int):
@@ -417,8 +410,8 @@ def _rank_one(rows: tuple, u0: int, v0: int):
 # -- the counting calculus ---------------------------------------------------
 
 
-# perfbench/tests inspects this cache (cache_clear, cache_info); no merge
-# calls the function, so outside the tests the cache stays empty
+# no merge calls this: perfbench/tests reads its cache until ROADMAP item 1
+# rewrites that test. n_poly, built on it, is in tests/helpers.py
 @lru_cache(maxsize=None)
 def _n_poly_terms(d1: int, d2: int) -> tuple:
     """Terms of N(d1, d2) written out one by one; the merges use _merge_core."""
@@ -430,16 +423,6 @@ def _n_poly_terms(d1: int, d2: int) -> tuple:
             e = i1 + i2
             acc[e] = acc.get(e, 0) + comb(d1 - i1 + d2 - i2 - 2, d1 - i1 - 1)
     return tuple(sorted(acc.items()))
-
-
-def n_poly(d1: int, d2: int) -> UnivarPoly:
-    """Recombination polynomial for merging root degrees d1 and d2.
-
-    One term u^(d1+d2-1) for the merge that keeps the shared hull segment,
-    plus a binomial-weighted term u^(i1+i2) for every way of re-hanging the
-    remaining root neighbors across the merge.
-    """
-    return UnivarPoly(dict(_n_poly_terms(d1, d2)))
 
 
 def _merge_core(a: list, b: list) -> list:
@@ -548,15 +531,19 @@ def join_Q(q1: UnivarPoly, q2: UnivarPoly) -> UnivarPoly:
     return UnivarPoly.from_row(_merge_core(row, row if q2 is q1 else q2.row()))
 
 
+def _pack_row(row, k: int) -> int:
+    """sum of row[j] * 2^(k*j), for k a multiple of 8 and all |row[j]| < 2^k:
+    the k-bit digits of the positive entries less those of the negative."""
+    if min(row) < 0:
+        return (_pack_row([max(c, 0) for c in row], k)
+                - _pack_row([max(-c, 0) for c in row], k))
+    return int.from_bytes(b"".join([c.to_bytes(k // 8, "little") for c in row]),
+                          "little")
+
+
 def _pack(rows: tuple, u0: int, k: int) -> list:
     """Each row evaluated at v = 2^k, in a list indexed by u-exponent from 0."""
-    out = [0] * u0
-    for row in rows:
-        x = 0
-        for c in reversed(row):
-            x = (x << k) + c
-        out.append(x)
-    return out
+    return [0] * u0 + [_pack_row(row, k) for row in rows]
 
 
 def _unpacker(k: int, slots: int):
@@ -576,10 +563,6 @@ def _unpacker(k: int, slots: int):
         raw = (x + bias).to_bytes(width * slots, "little")
         return tuple([read(raw[i:i + width], "little") - half for i in cuts])
     return unpack
-
-
-def _abs_sum(rows: tuple) -> int:
-    return sum(sum(map(abs, row)) for row in rows)
 
 
 def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
@@ -615,7 +598,8 @@ def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
     # absolute value, with S the sum of absolute operand coefficients
     top1 = p1._u0 + len(rows1) - 1
     top2 = p2._u0 + len(rows2) - 1
-    bound = comb(top1 + top2 - 2, top1 - 1) * _abs_sum(rows1) * _abs_sum(rows2)
+    bound = (comb(top1 + top2 - 2, top1 - 1) * sum(map(abs, chain(*rows1)))
+             * sum(map(abs, chain(*rows2))))
     k = -(-(bound.bit_length() + 1) // 8) * 8
     packed = _pack(rows1, p1._u0, k)
     merged = _merge_core(packed,

@@ -1,12 +1,17 @@
 """Shared helpers: random realizable fixtures and small reference oracles."""
 
 import json
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
 import mpmath as mp
 
-from chirotri import Chirotope, PointSet, RootedChirotope, chirotope_from_points
+from chirotri import (Chirotope, InternalInvariantViolation, OutOfRange,
+                      PointSet, QkTable, RootedChirotope, UnivarPoly,
+                      chirotope_from_points, df_series, f_series, kernel)
+from chirotri.doublecircle import DEFAULT_DPS, _rows
+from chirotri.polynomials import _n_poly_terms
 
 
 def catalan(n: int) -> int:
@@ -273,3 +278,74 @@ class BivarSpec:
 
     def __call__(self, u, v):
         return sum(c * u ** a * v ** b for (a, b), c in self.c.items())
+
+
+def n_poly(d1: int, d2: int) -> UnivarPoly:
+    """Recombination polynomial for merging root degrees d1 and d2; spec for
+    ``polynomials._merge_core``.
+
+    One term u^(d1+d2-1) for the merge that keeps the shared hull segment,
+    plus a binomial-weighted term u^(i1+i2) for every way of re-hanging the
+    remaining root neighbors across the merge.
+    """
+    return UnivarPoly(dict(_n_poly_terms(d1, d2)))
+
+
+def _divide_by_u_minus_1(coeffs: list) -> tuple[list, int]:
+    """Synthetic division by (u - 1); returns (quotient coeffs, remainder)."""
+    n = len(coeffs)
+    out = [0] * (n - 1)
+    carry = 0
+    for e in range(n - 1, 0, -1):
+        carry += coeffs[e]
+        out[e - 1] = carry
+    return out, carry + coeffs[0]
+
+
+def qk_step_closedform(q: UnivarPoly) -> UnivarPoly:
+    """One recursion step via the summation-free rational form; spec for
+    ``doublecircle.qk_step``.
+
+    Builds (q(u) - q(1)) * (u^4 - u^3 + u^2) - q'(1) * u^2 (u - 1) in
+    ``UnivarSpec`` arithmetic and divides exactly by (u - 1)^2; a nonzero
+    remainder means the input was not a valid step polynomial.
+    """
+    spec = UnivarSpec(dict(q.terms()))
+    if not spec.c or min(spec.c) < 2:
+        raise OutOfRange("step input needs minimum exponent >= 2")
+    mult = UnivarSpec({4: 1, 3: -1, 2: 1})
+    num = ((spec - UnivarSpec({0: spec(1)})) * mult
+           - UnivarSpec({3: 1, 2: -1}) * spec.deriv_at_one())
+    dense = [num.coeff(e) for e in range(max(num.c) + 1)]
+    for _ in range(2):
+        dense, rem = _divide_by_u_minus_1(dense)
+        if rem != 0:
+            raise InternalInvariantViolation(
+                "closed-form step: division by (u-1)^2 left a remainder")
+    return UnivarPoly(UnivarSpec(dict(enumerate(dense))).c)
+
+
+def functional_equation_residual(x, u, terms: int = 80,
+                                 table: QkTable | None = None,
+                                 dps: int | None = None):
+    """|F K - z(u^3 (u-1)^2 - (u^4-u^3+u^2) F(z,1) - u^2 (u-1) dF(z,1))|.
+
+    F(z, 1) and dF/du(z, 1) are ``f_series`` and ``df_series``; F(z, u)
+    sums the rows of ``doublecircle._rows``, each evaluated at u as a
+    ``UnivarSpec``. All three series are truncated at the same order, so the
+    residual is the truncation tail only.
+    """
+    if table is None or table.kmax < terms:
+        table = QkTable(terms)
+    f1 = f_series(x, terms, table, dps=dps)
+    df1 = df_series(x, terms, table, dps=dps)
+    with mp.workdps(DEFAULT_DPS if dps is None else dps):
+        xm, um = (mp.mpf(t.numerator) / t.denominator
+                  if isinstance(t, Fraction) else mp.mpf(t) for t in (x, u))
+        fu = mp.fsum(UnivarSpec(dict(enumerate(row)))(um) * xm ** k
+                     for k, (row, _, _) in enumerate(_rows(terms), 1))
+        lhs = fu * kernel(xm, um)
+        rhs = xm * (um ** 3 * (um - 1) ** 2
+                    - (um ** 4 - um ** 3 + um ** 2) * f1
+                    - um ** 2 * (um - 1) * df1)
+        return abs(lhs - rhs)

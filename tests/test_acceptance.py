@@ -15,13 +15,12 @@ from chirotri import (EvalMode, QkTable, UnivarPoly,
                       brute_P, brute_Q, chirotope_from_points, constants,
                       convex, count_triangulations, dc_count,
                       double_circle, double_circle_points, eval_expr,
-                      f_closed, f_series, df_series,
-                      functional_equation_residual, join, join_P, koch, meet,
-                      meet_P, parse_expr, q_from_p, qk_step_closedform,
-                      rank_candidates, small_roots, triangle, try_split,
-                      twist)
+                      f_closed, f_series, df_series, join, join_P, koch, meet,
+                      meet_P, parse_expr, q_from_p, rank_candidates,
+                      small_roots, triangle, try_split, twist)
 
-from helpers import catalan, random_rooted
+from helpers import (catalan, functional_equation_residual, qk_step_closedform,
+                     random_rooted)
 
 
 def _report(num, label, started):

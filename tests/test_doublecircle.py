@@ -10,10 +10,10 @@ from chirotri import doublecircle
 from chirotri import (OutOfRange, QkTable, UnivarPoly, brute_Q, chi_k,
                       chirotope_from_points, constants, count_triangulations,
                       dc_count, double_circle_points, f_closed, f_series,
-                      df_series, functional_equation_residual, join_Q, kernel,
-                      qk_step, qk_step_closedform, small_roots)
+                      df_series, join_Q, kernel, qk_step, small_roots)
 
-from helpers import small_roots_bisection
+from helpers import (functional_equation_residual, qk_step_closedform,
+                     small_roots_bisection)
 
 U = UnivarPoly
 

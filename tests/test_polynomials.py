@@ -10,13 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirotri import (BivarPoly, EmptyInput, InternalInvariantViolation,
-                      OutOfRange, UnivarPoly, brute_P, brute_Q, chi1,
-                      chi_k, convex, count_weak_join, enumerate_weak, join,
-                      join_P, join_Q, meet, meet_P, n_poly, q_from_p,
+                      MalformedFile, OutOfRange, UnivarPoly, brute_P, brute_Q,
+                      chi1, chi_k, convex, count_weak_join, enumerate_weak, join,
+                      join_P, join_Q, meet, meet_P, q_from_p,
                       swap_vars, try_split, twist)
 from chirotri import polynomials
 
-from helpers import BivarSpec, UnivarSpec, random_rooted
+from helpers import BivarSpec, UnivarSpec, n_poly, random_rooted
 
 U = UnivarPoly
 B = BivarPoly
@@ -200,8 +200,8 @@ def general_join_P_reference(p1, p2):
     """The merge double sum written out directly, as an independent oracle."""
     from chirotri.polynomials import _n_poly_terms
     acc = {}
-    for d1, va in p1.u_slices().items():
-        for d2, vb in p2.u_slices().items():
+    for d1, va in BivarSpec(dict(p1.terms())).u_slices().items():
+        for d2, vb in BivarSpec(dict(p2.terms())).u_slices().items():
             prod = {}
             for b1, c1 in va.items():
                 for b2, c2 in vb.items():
@@ -283,7 +283,6 @@ def _coefficient_view(p):
         "terms": p.terms(),
         "to_json": p.to_json(),
         "hash": hash(p),
-        "u_slices": p.u_slices(),
         "swap_terms": swap_vars(p).terms(),
         "repr": repr(p),
         "at": p(2, 3),
@@ -333,6 +332,21 @@ def test_serialization_roundtrip():
     p = B({(2, 3): -7, (0, 0): 5})
     assert B.from_json(p.to_json()) == p
     assert p.to_json() == '{"terms":[[0,0,"5"],[2,3,"-7"]]}'
+
+
+_MALFORMED_JSON = ["garbage", "{}", "[1]", '{"terms": 5}', '{"terms": [[1]]}',
+                   '{"terms": [[1, 2, "x"]]}']
+
+
+@pytest.mark.parametrize("cls, repeated, negative", [
+    (U, '{"terms":[[2,"1"],[2,"5"]]}', '{"terms":[[-1,"1"]]}'),
+    (B, '{"terms":[[2,3,"1"],[2,3,"5"]]}', '{"terms":[[2,-1,"1"]]}')])
+def test_from_json_refuses_malformed_text(cls, repeated, negative):
+    for text in _MALFORMED_JSON + [repeated]:
+        with pytest.raises(MalformedFile, match="malformed polynomial text"):
+            cls.from_json(text)
+    with pytest.raises(OutOfRange):
+        cls.from_json(negative)
 
 
 _sparse_dict = st.one_of(
@@ -397,7 +411,6 @@ def _check_bivar_against_spec(got, want, x, y):
     assert back == got and got == back and hash(back) == hash(got)
     assert got == B(want.c) and hash(got) == hash(B(want.c))
     assert got(x, y) == want(x, y)
-    assert got.u_slices() == want.u_slices()
     assert got.is_zero() == (not want.c)
     split = try_split(got)
     if not want.c:
@@ -551,6 +564,26 @@ def test_square_matches_the_product_with_a_copy(q):
     spec = UnivarSpec(dict(q.terms()))
     _check_against_spec(q * q, spec * spec, 2)
     assert q * q == q * copy
+
+
+def _signed_row(k):
+    """(k, a row of entries below 2^(k-1) in absolute value): zeros, the two
+    extremes and anything between."""
+    top = 2 ** (k - 1) - 1
+    entry = st.one_of(st.just(0), st.sampled_from([top, -top]),
+                      st.integers(-top, top))
+    return st.tuples(st.just(k), st.lists(entry, min_size=1, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([8, 16, 64, 136]).flatmap(_signed_row))
+@example((8, [0]))
+@example((8, [127, -127, 0, 127]))
+@example((136, [-(2 ** 135 - 1)] * 40))
+def test_packed_rows_unpack_to_themselves(k_row):
+    k, row = k_row
+    packed = polynomials._pack_row(row, k)
+    assert polynomials._unpacker(k, len(row))(packed) == tuple(row)
 
 
 def test_factored_evaluation_reads_the_factors():
