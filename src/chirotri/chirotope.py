@@ -17,7 +17,7 @@ from math import lcm
 
 from .errors import (GeneralPositionViolation, InvalidTriple, MalformedFile,
                      NotARootedChirotope, SharedEndpoint, TooSmall)
-from .geometry import PointSet, det, orient
+from .geometry import PointSet, det
 
 
 def sorted_triples(n: int):
@@ -232,10 +232,8 @@ def chirotope_from_points(ps: PointSet) -> Chirotope:
         i, j, k = t
         d = det(pts[i], pts[j], pts[k])
         if d == 0:
-            try:
-                orient(ps[i], ps[j], ps[k])
-            except GeneralPositionViolation as exc:
-                raise GeneralPositionViolation(f"labels ({i}, {j}, {k}): {exc}") from exc
+            raise GeneralPositionViolation(f"labels ({i}, {j}, {k}): collinear "
+                                           f"points {ps[i]}, {ps[j]}, {ps[k]}")
         table[t] = 1 if d > 0 else -1
     return Chirotope(n, table)
 

@@ -28,16 +28,6 @@ from .polynomials import q_from_p
 from .search import check_pipeline, koch_variant_search
 
 
-def _is_file(arg: str) -> bool:
-    return arg.endswith((".chi", ".pts"))
-
-
-def _rooted_input(arg: str, cap: int):
-    if _is_file(arg):
-        return load_rooted(arg)
-    return eval_expr(parse_expr(arg), EvalMode.MATERIALIZE, oracle_cap=cap)
-
-
 def _cmd_axioms(args) -> int:
     chi, _ = load_chirotope(args.file)
     report = chi.check_axioms()
@@ -54,26 +44,26 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.method == "brute":
-        if _is_file(args.input) and not args.drop_root:
-            chi, _ = load_chirotope(args.input)  # no root needed
-        else:
-            rc = _rooted_input(args.input, args.oracle_cap)
-            chi = rc.chi
-            if args.drop_root:
-                chi, _ = chi.restrict([x for x in range(chi.n) if x != rc.root])
-        print(count_triangulations(chi, cap=args.oracle_cap))
+    is_file = args.input.endswith((".chi", ".pts"))  # else an expression
+    if args.method == "poly":
+        if args.drop_root:
+            raise OutOfRange("--drop-root needs --method brute")
+        # a file goes through the expression language's own load() atom
+        tree = Atom("load", (args.input,)) if is_file else parse_expr(args.input)
+        p = eval_expr(tree, EvalMode.POLYNOMIAL, oracle_cap=args.oracle_cap)
+        total = q_from_p(p)(1)
+        print(_printed(lambda: str(total), "the count"))
         return 0
-    if args.drop_root:
-        raise OutOfRange("--drop-root needs --method brute")
-    # a file goes through the expression language's own load() atom
-    if _is_file(args.input):
-        tree = Atom("load", (args.input,))
+    if is_file and not args.drop_root:
+        chi, _ = load_chirotope(args.input)  # no root needed
     else:
-        tree = parse_expr(args.input)
-    p = eval_expr(tree, EvalMode.POLYNOMIAL, oracle_cap=args.oracle_cap)
-    total = q_from_p(p)(1)
-    print(_printed(lambda: str(total), "the count"))
+        rc = (load_rooted(args.input) if is_file else
+              eval_expr(parse_expr(args.input), EvalMode.MATERIALIZE,
+                        oracle_cap=args.oracle_cap))
+        chi = rc.chi
+        if args.drop_root:
+            chi, _ = chi.restrict([x for x in range(chi.n) if x != rc.root])
+    print(count_triangulations(chi, cap=args.oracle_cap))
     return 0
 
 
@@ -141,8 +131,8 @@ def _cmd_kernel_report(args) -> int:
     if args.terms < 1:
         raise OutOfRange("--terms must be at least 1")
     dps = args.precision
+    pt = small_roots(x, dps=dps)  # checks x before the table is built
     table = QkTable(args.terms)
-    pt = small_roots(x, dps=dps)
     fc, dfc = f_closed(pt, dps=dps)
     fs = f_series(x, args.terms, table, dps=dps)
     dfs = df_series(x, args.terms, table, dps=dps)

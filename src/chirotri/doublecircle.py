@@ -275,16 +275,14 @@ def _series(coeff, terms: int, xm):
 
 def f_series(x, terms: int, table: QkTable | None = None, dps: int | None = None):
     """Truncated series for F(x, 1), from the exact totals."""
-    table = _table(table, terms)
-    with _workdps(dps):
-        return _series(table.total, terms, _to_mpf(x))
+    with _workdps(dps):  # checks dps before the table is built
+        return _series(_table(table, terms).total, terms, _to_mpf(x))
 
 
 def df_series(x, terms: int, table: QkTable | None = None, dps: int | None = None):
     """Truncated series for dF/du(x, 1), from the exact derivatives."""
-    table = _table(table, terms)
-    with _workdps(dps):
-        return _series(table.deriv, terms, _to_mpf(x))
+    with _workdps(dps):  # checks dps before the table is built
+        return _series(_table(table, terms).deriv, terms, _to_mpf(x))
 
 
 def constants(dps: int | None = None) -> AsymptoticConstants:
@@ -317,8 +315,8 @@ def asymptotic_report(ks, table: QkTable | None = None,
     ks = sorted(ks)
     if not ks or ks[0] < 3:
         raise OutOfRange("report needs at least one k, each k >= 3")
+    cs = constants(dps=dps)  # checks dps before the table is built
     table = _table(table, ks[-1] - 1)
-    cs = constants(dps=dps)
     rows = []
     with _workdps(dps):
         twelve, power = mp.mpf(12), mp.mpf("-1.5")

@@ -3,8 +3,8 @@
 Grammar::
 
     expr    := term { ('v' | '^') term }          # infix join / meet
-    term    := IDENT | IDENT '(' args ')' | '(' expr ')'
-    args    := value { ',' value }
+    term    := IDENT [ '(' [ arg { ',' arg } ] ')' ] | '(' expr ')'
+    arg     := expr for join/meet/twist/flip, else value
 
 ``join``/``meet`` calls take two or more arguments and fold left; ``twist``
 and ``flip`` take exactly one. Infix ``v`` and ``^`` share one precedence
@@ -26,6 +26,7 @@ subtrees of triangle or chi1 leaves, so any level is reachable.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, fields
 from functools import reduce
 from pathlib import Path
@@ -126,53 +127,34 @@ class _Tok:
     col: int
 
 
+# leading whitespace, then one token or nothing: nothing means the end of
+# the text or a character that starts no token
+_TOKEN = re.compile(r'\s*(?:(?P<PUNCT>[(),^])|(?P<STRING>"[^"]*")'
+                    r'|(?P<NUMBER>\d+)|(?P<IDENT>[^\W\d]\w*))?')
+
+
 def _tokenize(src: str):
-    toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in "(),^":
-            toks.append(_Tok(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = src.find('"', i + 1)
-            if j < 0:
-                raise ExprSyntaxError("unterminated string", line, col)
-            toks.append(_Tok("STRING", src[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            toks.append(_Tok("NUMBER", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("IDENT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("EOF", "", line, col))
-    return toks
+    """Tokens of ``src``; a token's line counts every newline before it,
+    one inside a quoted string too."""
+    toks, pos, seen, line, line_start = [], 0, 0, 1, 0
+    while True:
+        m = _TOKEN.match(src, pos)
+        kind, pos = m.lastgroup, m.end()
+        start = m.start(kind) if kind else pos
+        if (nl := src.count("\n", seen, start)):
+            line += nl
+            line_start = src.rfind("\n", seen, start) + 1
+        seen, col = start, start - line_start + 1
+        if kind is None:
+            if pos == len(src):
+                toks.append(_Tok("EOF", "", line, col))
+                return toks
+            ch = src[pos]
+            raise ExprSyntaxError("unterminated string" if ch == '"' else
+                                  f"unexpected character {ch!r}", line, col)
+        text = m[kind]
+        toks.append(_Tok(text if kind == "PUNCT" else kind,
+                         text[1:-1] if kind == "STRING" else text, line, col))
 
 
 class _Parser:
@@ -217,56 +199,29 @@ class _Parser:
             node = Join(node, rhs) if op == "v" else Meet(node, rhs)
 
     def term(self):
-        t = self.peek()
+        t = self.next()
         if t.kind == "(":
-            self.next()
             node = self.expr()
             self.expect(")")
             return node
         if t.kind != "IDENT":
             raise ExprSyntaxError(f"expected an expression, found "
                                   f"{t.text or t.kind!r}", t.line, t.col)
-        self.next()
         name = t.text
-        if name in ("join", "meet", "twist", "flip"):
-            self.expect("(")
-            args = [self.expr()]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.expr())
-            self.expect(")")
-            if name in ("twist", "flip"):
-                if len(args) != 1:
-                    raise ExprSyntaxError(f"{name} takes exactly 1 argument, "
-                                          f"got {len(args)}", t.line, t.col)
-                return Twist(args[0]) if name == "twist" else Flip(args[0])
-            if len(args) < 2:
-                raise ExprSyntaxError(f"{name} takes at least 2 arguments, "
-                                      f"got {len(args)}", t.line, t.col)
-            node = args[0]
-            for rhs in args[1:]:
-                node = Join(node, rhs) if name == "join" else Meet(node, rhs)
-            return node
-        if name not in _ATOMS:
+        call = _CALLS.get(name)
+        if call is None and name not in _ATOMS:
             raise ExprSyntaxError(f"unknown identifier {name!r}", t.line, t.col)
-        lo, hi = _ATOMS[name][:2]
-        args = ()
-        if self.peek().kind == "(":
-            self.next()
-            vals = []
-            if self.peek().kind != ")":
-                vals.append(self.value())
-                while self.peek().kind == ",":
-                    self.next()
-                    vals.append(self.value())
-            self.expect(")")
-            args = tuple(vals)
-        if not lo <= len(args) <= hi:
-            raise ExprSyntaxError(
-                f"{name} takes {lo} to {hi} argument(s), got {len(args)}"
-                if lo != hi else
-                f"{name} takes {lo} argument(s), got {len(args)}",
-                t.line, t.col)
+        # entries parse in this frame: a nested call adds 2 stack frames, not 3
+        parse, args = (self.value if call is None else self.expr), []
+        for _ in self.args():
+            args.append(parse())
+        lo, hi = (call or _ATOMS[name])[:2]
+        if len(args) < lo or hi is not None and len(args) > hi:
+            most = "" if hi == lo else " or more" if hi is None else f" to {hi}"
+            raise ExprSyntaxError(f"{name} takes {lo}{most} argument(s), got "
+                                  f"{len(args)}", t.line, t.col)
+        if call is not None:
+            return call[2](*args) if hi == 1 else reduce(call[2], args)
         if name == "load":
             if not isinstance(args[0], str):
                 raise ExprSyntaxError("load needs a quoted path", t.line, t.col)
@@ -274,7 +229,20 @@ class _Parser:
                 raise ExprSyntaxError("load root must be an integer", t.line, t.col)
         elif any(not isinstance(a, int) for a in args):
             raise ExprSyntaxError(f"{name} takes integer arguments", t.line, t.col)
-        return Atom(name, args)
+        return Atom(name, tuple(args))
+
+    def args(self):
+        """Yield at each entry of a parenthesized, comma-separated list, for
+        the caller to parse it; nothing when no parenthesis follows."""
+        if self.peek().kind != "(":
+            return
+        self.next()
+        if self.peek().kind != ")":
+            yield
+            while self.peek().kind == ",":
+                self.next()
+                yield
+        self.expect(")")
 
     def value(self):
         t = self.peek()
@@ -282,7 +250,7 @@ class _Parser:
             self.next()
             try:
                 return int(t.text)
-            except ValueError:  # a digit int() refuses, or too many digits
+            except ValueError:  # more digits than Python's int-from-str limit
                 raise ExprSyntaxError(
                     f"cannot read an integer from {len(t.text)} digit "
                     f"character(s)", t.line, t.col) from None
@@ -378,6 +346,10 @@ def _koch_tree(level: int):
         node = Join(node, node) if i % 2 == 1 else Meet(node, node)
     return node
 
+
+# combinator name -> (fewest args, most args or None for no most, node type)
+_CALLS = {"join": (2, None, Join), "meet": (2, None, Meet),
+          "twist": (1, 1, Twist), "flip": (1, 1, Flip)}
 
 # name -> (fewest args, most args, builder, element count, polynomial rewrite).
 # The builder is named, not stored: a function of ``compose``, or

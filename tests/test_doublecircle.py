@@ -7,10 +7,12 @@ import mpmath as mp
 import pytest
 
 from chirotri import doublecircle
-from chirotri import (OutOfRange, QkTable, UnivarPoly, brute_Q, chi_k,
-                      chirotope_from_points, constants, count_triangulations,
-                      dc_count, double_circle_points, f_closed, f_series,
-                      df_series, join_Q, kernel, qk_step, small_roots)
+from chirotri import (OutOfRange, QkTable, UnivarPoly, asymptotic_report,
+                      brute_Q, chi_k, chirotope_from_points, constants,
+                      count_triangulations, dc_count, double_circle_points,
+                      f_closed, f_series, df_series, join_Q, kernel, qk_step,
+                      small_roots)
+from chirotri.cli import run_cli
 
 from helpers import (functional_equation_residual, qk_step_closedform,
                      small_roots_bisection)
@@ -115,6 +117,26 @@ def test_small_roots_bracketing():
     with pytest.raises(OutOfRange):
         small_roots(Fraction(1, 20), dps=0)
 
+
+
+def test_bad_x_or_dps_is_refused_before_any_table_is_built(monkeypatch, capsys):
+    # a table of 1,500 rows takes over a second; a bad argument must not
+    # wait for it
+    built = []
+    rows = doublecircle._rows
+    monkeypatch.setattr(doublecircle, "_rows",
+                        lambda kmax: built.append(kmax) or rows(kmax))
+    for call in (lambda: asymptotic_report(range(3, 1500), dps=0),
+                 lambda: f_series(Fraction(1, 20), 1500, dps=0),
+                 lambda: df_series(Fraction(1, 20), 1500, dps=0)):
+        with pytest.raises(OutOfRange, match="need dps >= 1, got 0"):
+            call()
+    assert run_cli(["kernel-report", "--x", "1/5", "--terms", "2000"]) == 1
+    assert capsys.readouterr() == ("", "error: x=1/5 outside (0, 1/12)\n")
+    assert built == []
+    # the spy does see a table that is built
+    f_series(Fraction(1, 20), 5, dps=15)
+    assert built == [5]
 
 def test_small_roots_near_zero():
     x = Fraction(1, 10 ** 8)

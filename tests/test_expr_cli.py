@@ -68,6 +68,36 @@ def test_parse_errors():
     assert err is not None and err.line == 2 and err.col == 3
 
 
+
+def test_error_positions_count_newlines_inside_strings():
+    # the position of a token counts every newline before it, one inside a
+    # quoted load path too
+    for src, line, col in (('load("a\nb.chi", 0) %', 2, 12),
+                           ('load("a\nb.chi", 0) v\n  %', 3, 3),
+                           ('join(load("a\n\nb.chi"),\n"c")', 4, 1)):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(src)
+        assert (info.value.line, info.value.col) == (line, col), src
+
+
+def test_digits_beyond_ascii():
+    # decimal digits of any script read as integers; another digit
+    # character (a superscript two) is not a number
+    assert parse_expr("convex(\u0667)") == Atom("convex", (7,))
+    assert parse_expr("koch(\u0661\u0660)") == Atom("koch", (10,))
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("convex(\u00b2)")
+
+
+@pytest.mark.parametrize("call", [
+    "join()", "join(triangle)", "twist()", "twist(triangle, triangle)",
+    "convex()", "load(1, 2, 3)", "meet", "flip"])
+def test_arity_errors_point_at_the_name(call):
+    # one rule checks the number of arguments of every builtin call
+    with pytest.raises(ExprSyntaxError, match=r"takes \d") as info:
+        parse_expr("triangle v\n  " + call)
+    assert (info.value.line, info.value.col) == (2, 3)
+
 _atoms = st.one_of(
     st.sampled_from([Atom("triangle"), Atom("chi1")]),
     st.builds(lambda name, a: Atom(name, (a,)),
@@ -678,6 +708,20 @@ def test_cli_count_poly_accepts_rooted_file(tmp_path, capsys):
     assert poly == capsys.readouterr().out == f"{count_triangulations(rc.chi)}\n"
 
 
+
+def test_cli_count_drop_root_routes(tmp_path, capsys):
+    # a rooted .chi file drops its root as the same expression does
+    rc = compose.koch(3)
+    path = tmp_path / "koch3.chi"
+    path.write_text(write_chi(rc.chi, rc.root))
+    assert run_cli(["count", str(path), "--drop-root"]) == 0
+    assert capsys.readouterr().out == "424\n"
+    # the polynomial route refuses --drop-root before it reads any input
+    for source in ("convex(6)", str(tmp_path / "missing.chi")):
+        assert run_cli(["count", source, "--method", "poly", "--drop-root"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --drop-root needs --method brute\n")
+
 def _env_with_src():
     src = Path(__file__).resolve().parents[1] / "src"
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -772,6 +816,11 @@ def test_nesting_too_deep_to_parse_is_a_syntax_error(capsys):
     assert run_cli(["count", "--method", "poly", src]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: expression nested too deeply")
+    # a call nests as deep as a parenthesis does, two stack frames a level
+    for src in ("twist(" * 400 + "triangle" + ")" * 400,
+                "join(triangle, " * 400 + "triangle" + ")" * 400,
+                "(" * 400 + "triangle" + ")" * 400):
+        assert isinstance(parse_expr(src), (Twist, Join, Atom))
 
 
 @pytest.mark.parametrize("expr, count, p_digest, q_digest", [
