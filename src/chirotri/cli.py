@@ -2,14 +2,14 @@
 
 Subcommands: axioms, count, poly, dc-table, kernel-report, search. Exit code
 0 on success, 1 on a domain error, 2 on a usage error. All counts and scores
-are printed as decimal strings; CSV and JSON output is byte-deterministic.
+are printed in full as decimal strings (``exact_str``), at any length; CSV
+and JSON output is byte-deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -24,7 +24,7 @@ from .expr import (Atom, EvalMode, eval_expr, load_chirotope, load_rooted,
                    parse_expr)
 from .oracle import DEFAULT_ORACLE_CAP, count_triangulations
 from .orderdb import read_order_types
-from .polynomials import q_from_p
+from .polynomials import exact_str, q_from_p
 from .search import check_pipeline, koch_variant_search
 
 
@@ -51,8 +51,7 @@ def _cmd_count(args) -> int:
         # a file goes through the expression language's own load() atom
         tree = Atom("load", (args.input,)) if is_file else parse_expr(args.input)
         p = eval_expr(tree, EvalMode.POLYNOMIAL, oracle_cap=args.oracle_cap)
-        total = q_from_p(p)(1)
-        print(_printed(lambda: str(total), "the count"))
+        print(exact_str(q_from_p(p)(1)))
         return 0
     if is_file and not args.drop_root:
         chi, _ = load_chirotope(args.input)  # no root needed
@@ -63,7 +62,7 @@ def _cmd_count(args) -> int:
         chi = rc.chi
         if args.drop_root:
             chi, _ = chi.restrict([x for x in range(chi.n) if x != rc.root])
-    print(count_triangulations(chi, cap=args.oracle_cap))
+    print(exact_str(count_triangulations(chi, cap=args.oracle_cap)))
     return 0
 
 
@@ -71,7 +70,7 @@ def _cmd_poly(args) -> int:
     p = eval_expr(parse_expr(args.expr), EvalMode.POLYNOMIAL,
                   oracle_cap=args.oracle_cap)
     poly = q_from_p(p) if args.which == "Q" else p
-    out = _printed(poly.to_json, f"a coefficient of {args.which}")
+    out = poly.to_json()
     if args.out:
         try:
             Path(args.out).write_text(out + "\n")
@@ -82,44 +81,37 @@ def _cmd_poly(args) -> int:
     return 0
 
 
-def _unprintable(what: str) -> OutOfRange:
-    return OutOfRange(f"{what} has more than {sys.get_int_max_str_digits()} "
-                      f"digits, above Python's limit for printing an integer")
+def _nstr(x, n: int) -> str:
+    """``mp.nstr(x, n)`` for x > 0 and n < 15, at any int-to-str limit.
 
-
-def _printed(text, what: str) -> str:
-    """text(), which prints exact integers; ``_unprintable(what)`` if one of
-    them passes Python's int-to-str limit (a ValueError from str)."""
-    try:
-        return text()
-    except ValueError:
-        raise _unprintable(what) from None
+    For x of 2,000 to 3,500 bits, nstr writes every digit of x's integer
+    part with str(), which a limit lowered towards 640 digits refuses
+    (below that range the part has fewer digits; above it, nstr scales x
+    by a power of ten first). Its text depends only on the leading n + 1
+    of those digits and on their count, so it is nstr of that prefix with
+    the exponent shifted back.
+    """
+    if not 2000 <= mp.mag(x) <= 3500:
+        return mp.nstr(x, n)
+    digits = exact_str(int(x))
+    head, _, exp = mp.nstr(mp.mpf(int(digits[:n + 1])), n).partition("e+")
+    return f"{head}e+{int(exp) + len(digits) - n - 1}"
 
 
 def _cmd_dc_table(args) -> int:
     if args.kmax < 3:
         raise OutOfRange("--kmax must be at least 3")
-    # D(k) is the law's estimate 1.42 * 12^(k-2) * k^(-3/2) times a ratio
-    # that falls from 1.22 at k = 3 towards 1 (1.00016 at k = 3980), so
-    # log10 D(k) > (k-2) log10 12 - 1.5 log10 k - 1, and a kmax past that
-    # bound certainly cannot print. The comparison builds neither D(kmax)
-    # nor a float of kmax; the check after the table catches the k at the
-    # bound.
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    largest = f"--kmax {args.kmax}: D({args.kmax})"
-    if limit and args.kmax - 2 >= ((limit + 1 + 1.5 * math.log10(args.kmax))
-                                   / math.log10(12)):
-        raise _unprintable(largest)
-    rows = asymptotic_report(range(3, args.kmax + 1), dps=args.precision)
-    _printed(lambda: str(rows[-1].exact), largest)  # if it prints, all do
+    fields = ("k", "exact", "estimate", "ratio")
+    rows = [(r.k, exact_str(r.exact), _nstr(r.estimate, 12),
+             mp.nstr(r.ratio, 10))
+            for r in asymptotic_report(range(3, args.kmax + 1), dps=args.precision)]
     if args.format == "csv":
-        print("k,exact,estimate,ratio")
-        for r in rows:
-            print(f"{r.k},{r.exact},{mp.nstr(r.estimate, 12)},{mp.nstr(r.ratio, 10)}")
+        print(",".join(fields))
+        for row in rows:
+            print(*row, sep=",")
     else:
-        payload = [{"estimate": mp.nstr(r.estimate, 12), "exact": str(r.exact),
-                    "k": r.k, "ratio": mp.nstr(r.ratio, 10)} for r in rows]
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps([dict(zip(fields, row)) for row in rows],
+                         sort_keys=True))
     return 0
 
 
@@ -164,7 +156,7 @@ def _cmd_search(args) -> int:
     print("record,root,score")
     limit = args.top if args.top else len(rows)
     for r in rows[:limit]:
-        print(f"{r.record},{r.root},{r.score}")
+        print(f"{r.record},{r.root},{exact_str(r.score)}")
     return 0
 
 

@@ -18,7 +18,6 @@ fixed pull-in factor, and validated; nothing is retried.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -149,15 +148,6 @@ def chi_k(k: int) -> RootedChirotope:
     return rc
 
 
-def koch_size(i: int) -> str | None:
-    """koch(i)'s element count 2**i + 2 in decimal, or None, decided from i
-    without building the count, when it has more digits than Python prints."""
-    limit = sys.get_int_max_str_digits()
-    if limit and i >= (10 ** limit).bit_length():  # then 2**i >= 10**limit
-        return None
-    return str(2 ** i + 2)
-
-
 def koch(i: int) -> RootedChirotope:
     """Level-i rooted Koch chain: alternately self-join (odd i) and self-meet.
 
@@ -167,9 +157,8 @@ def koch(i: int) -> RootedChirotope:
     if i < 0:
         raise OutOfRange(f"need i >= 0, got {i}")
     if i > KOCH_MATERIALIZE_CAP:
-        size = koch_size(i) or f"2^{i} + 2"
         raise TooLarge(
-            f"koch({i}) has {size} elements; materialization is capped at "
+            f"koch({i}) has 2^{i} + 2 elements; materialization is capped at "
             f"level {KOCH_MATERIALIZE_CAP} - use the polynomial pipeline")
     rc = triangle()
     for level in range(1, i + 1):

@@ -312,7 +312,8 @@ class AsymptoticRow:
 def asymptotic_report(ks, table: QkTable | None = None,
                       dps: int | None = None) -> list[AsymptoticRow]:
     """Exact counts against the estimate constant * 12^(k-2) * k^(-3/2)."""
-    ks = sorted(ks)
+    # a range is sorted already, and a long one is never built as a list
+    ks = ks if isinstance(ks, range) and ks.step > 0 else sorted(ks)
     if not ks or ks[0] < 3:
         raise OutOfRange("report needs at least one k, each k >= 3")
     cs = constants(dps=dps)  # checks dps before the table is built

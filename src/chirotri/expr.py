@@ -30,6 +30,7 @@ import re
 from dataclasses import dataclass, fields
 from functools import reduce
 from pathlib import Path
+from typing import NamedTuple
 
 from . import compose
 from .chirotope import (Chirotope, RootedChirotope, chirotope_from_points,
@@ -38,7 +39,7 @@ from .errors import (ExprSyntaxError, MalformedFile, NotARootedChirotope,
                      OutOfRange, TooLarge)
 from .geometry import PointSet
 from .oracle import DEFAULT_ORACLE_CAP, brute_P
-from .polynomials import join_P, meet_P, swap_vars
+from .polynomials import exact_str, join_P, meet_P, swap_vars
 
 
 # -- AST ----------------------------------------------------------------------
@@ -119,8 +120,7 @@ class Flip:
 # -- tokenizer / parser -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):  # a frozen dataclass takes twice as long to build
     kind: str  # IDENT NUMBER STRING ( ) , ^ EOF
     text: str
     line: int
@@ -356,7 +356,8 @@ _CALLS = {"join": (2, None, Join), "meet": (2, None, Meet),
 # ``load_rooted`` of this module, looked up at each call, so that rebinding
 # it takes effect. The element count and the rewrite take the atom's
 # arguments and give None outside the generator's domain, where the builder
-# raises its own typed error.
+# raises its own typed error. koch has no element count: the materializing
+# table compares 2**i + 2 with the cap from the level alone.
 _ATOMS = {
     "triangle": (0, 0, "triangle", None, None),
     "chi1": (0, 0, "chi1", None, None),
@@ -364,8 +365,7 @@ _ATOMS = {
                lambda n: _join_chain("triangle", n - 2) if n >= 3 else None),
     "chik": (1, 1, "chi_k", lambda k: 2 * k + 2 if k >= 1 else None,
              lambda k: _join_chain("chi1", k) if k >= 1 else None),
-    "koch": (1, 1, "koch", lambda i: 2 ** i + 2 if i >= 0 else None,
-             lambda i: _koch_tree(i) if i >= 0 else None),
+    "koch": (1, 1, "koch", None, lambda i: _koch_tree(i) if i >= 0 else None),
     "dc": (1, 1, "double_circle", None, None),
     "load": (1, 2, "load_rooted", None, None),
 }
@@ -377,35 +377,25 @@ def _build(e: Atom) -> RootedChirotope:
     return build(*e.args)
 
 
-def _decimal(n: int) -> str:
-    """n in decimal, or a power-of-two lower bound for it past Python's
-    int-to-str digit limit."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"at least 2^{n.bit_length() - 1}"
-
-
 def _materialize_ops(cap: int) -> dict:
     """Node type -> compose operation; every result above ``cap`` elements,
     and every generator that would build one, is refused."""
     def refuse(size):
         raise TooLarge(
             f"materialized result has {size} elements, above the oracle "
-            f"cap {_decimal(cap)}; use the polynomial mode")
+            f"cap {exact_str(cap)}; use the polynomial mode")
 
     def fit(n):
         if n is not None and n > cap:
-            refuse(_decimal(n))
+            refuse(exact_str(n))
 
     def capped(rc):
         fit(rc.chi.n)
         return rc
 
     def atom(e, memo):
-        if e.name == "koch" and (i := e.args[0]) >= cap.bit_length():
-            # 2**i + 2 > cap: refused from i, without building the count
-            refuse(compose.koch_size(i) or f"at least 2^{i}")
+        if e.name == "koch" and (i := e.args[0]) >= max(cap - 2, 0).bit_length():
+            refuse(f"2^{i} + 2")  # exactly when 2**i + 2 > cap
         size = _ATOMS[e.name][3]
         fit(size and size(*e.args))
         return capped(_build(e))

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .chirotope import Chirotope, RootedChirotope, _bits
 from .errors import OracleTooLarge
-from .polynomials import BivarPoly, UnivarPoly
+from .polynomials import BivarPoly, UnivarPoly, exact_str
 
 DEFAULT_ORACLE_CAP = 12
 
@@ -42,8 +42,8 @@ def _ground(obj, cap):
     limit = DEFAULT_ORACLE_CAP if cap is None else cap
     if obj.n > limit:
         raise OracleTooLarge(
-            f"{obj.n} elements exceeds the oracle cap {limit}; pass a larger "
-            f"cap to override")
+            f"{obj.n} elements exceeds the oracle cap {exact_str(limit)}; "
+            f"pass a larger cap to override")
     if isinstance(obj, Chirotope):
         pos, r, v = obj._pos, -1, -1
     else:

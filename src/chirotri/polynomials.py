@@ -31,6 +31,7 @@ substitution).
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from functools import lru_cache
 from itertools import accumulate, chain
 from math import comb, gcd
@@ -196,7 +197,7 @@ class UnivarPoly:
         return " + ".join(bits)
 
     def to_json(self) -> str:
-        terms = [[e, str(c)] for e, c in self.terms()]
+        terms = [[e, exact_str(c)] for e, c in self.terms()]
         return json.dumps({"terms": terms}, separators=(",", ":"))
 
     @classmethod
@@ -363,7 +364,7 @@ class BivarPoly:
         return " + ".join(bits)
 
     def to_json(self) -> str:
-        terms = [[a, b, str(c)] for (a, b), c in self.terms()]
+        terms = [[a, b, exact_str(c)] for (a, b), c in self.terms()]
         return json.dumps({"terms": terms}, separators=(",", ":"))
 
     @classmethod
@@ -371,12 +372,34 @@ class BivarPoly:
         return cls(_terms_from_json(text, 2))
 
 
+def exact_str(n: int) -> str:
+    """n in decimal at any length, with no global setting changed.
+
+    Past Python's int-to-str digit limit (4,300 digits by default) ``str``
+    refuses n, and a Decimal built from n, which that limit does not bind,
+    writes it. Below the limit ``str`` writes it: the first Decimal built
+    in a process forked after import raised its peak RSS by about 0.5 MB.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _read_exact(text) -> int:
+    """The int that ``exact_str`` wrote as ``text``, at any size."""
+    digits = text.removeprefix("-") if type(text) is str else ""
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(Decimal(text))
+
+
 def _terms_from_json(text: str, arity: int) -> dict:
     """{exponent tuple: coefficient} from the text ``to_json`` writes, with
     ``arity`` exponents per term; MalformedFile for any other text."""
     try:
         terms = json.loads(text)["terms"]
-        out = {tuple(map(int, t[:arity])): int(t[arity]) for t in terms
+        out = {tuple(map(int, t[:arity])): _read_exact(t[arity]) for t in terms
                if type(t) is list and len(t) == arity + 1}
         if len(out) < len(terms):
             raise ValueError("a term is malformed or repeats exponents")

@@ -14,6 +14,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -185,10 +186,17 @@ def test_materialize_checks_generator_size_before_building(monkeypatch):
     monkeypatch.setattr(compose, "convex", never)
     monkeypatch.setattr(compose, "chi_k", never)
     monkeypatch.setattr(compose, "koch", never)
+    # koch(i)'s size is written as 2^i + 2 and never built
     for src, n in (("convex(100000)", 100000), ("chik(100000)", 200002),
-                   ("koch(100)", 2**100 + 2)):
+                   ("koch(100)", r"2\^100 \+ 2")):
         with pytest.raises(TooLarge, match=f"has {n} elements"):
             eval_expr(parse_expr(src), EvalMode.MATERIALIZE)
+    # koch(3) has 10 elements: refused under a cap of 9, built under 10
+    for src, cap in (("koch(3)", 9), ("koch(0)", 2), ("koch(0)", -1)):
+        with pytest.raises(TooLarge, match=r"has 2\^\d \+ 2 elements"):
+            eval_expr(parse_expr(src), EvalMode.MATERIALIZE, oracle_cap=cap)
+    with pytest.raises(AssertionError, match="generator built"):
+        eval_expr(parse_expr("koch(3)"), EvalMode.MATERIALIZE, oracle_cap=10)
 
 
 def test_polynomial_mode_expands_generators():
@@ -527,39 +535,20 @@ def test_cli_search_refuses_n_past_the_coordinate_grid(tmp_path, capsys):
         list(iter_order_types(b"", 10 ** 11))
 
 
-def test_cli_dc_table_refuses_counts_past_the_print_limit(monkeypatch, capsys):
-    from chirotri import cli
-    from chirotri.doublecircle import AsymptoticRow, asymptotic_report
-    limit = sys.get_int_max_str_digits()
+def test_cli_dc_table_far_out_kmax_starts_the_table_without_a_list_of_k(
+        monkeypatch):
+    # every D(k) prints, so a far-out --kmax runs until interrupted; it
+    # must get to the table without building the range of k as a list
+    # (800 GB at 10^11; past 2^63 no list can have that length)
+    from chirotri import doublecircle
 
-    def never(*args, **kwargs):
-        raise AssertionError("table built")
+    def stop(table, kmax):
+        raise AssertionError(f"table to {kmax}")
 
-    # refused before the table is built: D(4100) has about 4,417 digits,
-    # and a table to 10^11 or 10^22 would not fit in memory
-    monkeypatch.setattr(cli, "asymptotic_report", never)
-    for kmax in ("4100", "100000000000", "10000000000000000000000"):
-        assert run_cli(["dc-table", "--kmax", kmax]) == 1
-        assert capsys.readouterr() == ("", (
-            f"error: --kmax {kmax}: D({kmax}) has more than {limit} digits, "
-            f"above Python's limit for printing an integer\n"))
-    if limit == 4300:
-        # D(3990) has 4,299 digits and prints, so it is not refused up front
-        with pytest.raises(AssertionError, match="table built"):
-            run_cli(["dc-table", "--kmax", "3990"])
-    # a count at the bound is checked after the table, before any output
-    def report(ks, dps=None):
-        rows = asymptotic_report(ks, dps=dps)
-        last = rows[-1]
-        return rows[:-1] + [AsymptoticRow(last.k, 10 ** limit, last.estimate,
-                                          last.ratio)]
-
-    monkeypatch.setattr(cli, "asymptotic_report", report)
-    for fmt in ("csv", "json"):
-        assert run_cli(["dc-table", "--kmax", "6", "--format", fmt]) == 1
-        assert capsys.readouterr() == ("", (
-            f"error: --kmax 6: D(6) has more than {limit} digits, above "
-            f"Python's limit for printing an integer\n"))
+    monkeypatch.setattr(doublecircle, "_table", stop)
+    for kmax in (10 ** 11, 10 ** 22):
+        with pytest.raises(AssertionError, match=f"table to {kmax - 1}$"):
+            run_cli(["dc-table", "--kmax", str(kmax)])
 
 
 def test_cli_search_rejects_negative_top(tmp_path, capsys):
@@ -603,22 +592,42 @@ def test_cli_numbers_past_the_str_digit_limit(capsys):
         compose.koch(20000)
 
 
-def test_cli_poly_results_past_the_str_digit_limit(capsys):
-    # koch(10) has a count and Q coefficients of more than 640 digits, the
-    # lowest limit Python accepts: both commands end in one typed error line
+def test_cli_output_is_independent_of_the_str_digit_limit(capsys):
+    # koch(10)'s count and Q coefficients, and D(k) from k = 599 on, have
+    # more digits than 640, the lowest int-to-str limit Python accepts; the
+    # lowered limit changes no byte of any output
+    runs = (["count", "--method", "poly", "koch(10)"],
+            ["poly", "koch(10)", "--which", "Q"],
+            ["dc-table", "--kmax", "700"],
+            ["dc-table", "--kmax", "700", "--format", "json"])
+    want = []
+    for argv in runs:
+        assert run_cli(argv) == 0, argv
+        want.append(capsys.readouterr())
+    assert len(want[0].out) > 700 and len(want[2].out.splitlines()[-1]) > 700
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        for argv, what in ((["count", "--method", "poly", "koch(10)"],
-                            "the count"),
-                           (["poly", "koch(10)", "--which", "Q"],
-                            "a coefficient of Q")):
-            assert run_cli(argv) == 1, argv
-            assert capsys.readouterr() == ("", (
-                f"error: {what} has more than 640 digits, above Python's "
-                f"limit for printing an integer\n"))
+        for argv, out in zip(runs, want):
+            assert run_cli(argv) == 0, argv
+            assert capsys.readouterr() == out, argv
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1990, 3510).flatmap(
+           lambda bits: st.integers(2 ** (bits - 1), 2 ** bits - 1)),
+       st.integers(-60, 60), st.sampled_from([15, 50, 1000]),
+       st.sampled_from([10, 12, 14]))
+@example(int("9" * 700), 0, 15, 12)  # a carry through every printed digit
+def test_dc_table_estimates_print_as_mpmath_prints_them(man, exp, dps, n):
+    # from 2^2000 to 2^3500 mpmath writes a float's integer part with str();
+    # the CLI takes its digits from exact_str, and must print the same text
+    from chirotri.cli import _nstr
+    with mp.workdps(dps):
+        x = mp.ldexp(mp.mpf(man), exp) / 3
+    assert _nstr(x, n) == mp.nstr(x, n)
 
 
 def test_koch_past_the_cap_is_refused_without_building_its_count(capsys):
@@ -626,8 +635,8 @@ def test_koch_past_the_cap_is_refused_without_building_its_count(capsys):
     # of koch(10^8) would take about 12 MB per copy
     assert run_cli(["count", "koch(100000000)"]) == 1
     assert capsys.readouterr() == ("", (
-        "error: materialized result has at least 2^100000000 elements, above "
-        "the oracle cap 12; use the polynomial mode\n"))
+        "error: materialized result has 2^100000000 + 2 elements, above the "
+        "oracle cap 12; use the polynomial mode\n"))
     tree = parse_expr("koch(100000000)")
     for build in (lambda: compose.koch(10 ** 8),
                   lambda: eval_expr(tree, EvalMode.MATERIALIZE)):
@@ -639,10 +648,9 @@ def test_koch_past_the_cap_is_refused_without_building_its_count(capsys):
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-    # a cap past Python's int-to-str digit limit prints as a bound too
+    # a cap past Python's int-to-str digit limit prints in full
     with pytest.raises(TooLarge, match=(
-            r"has at least 2\^20000 elements, above the oracle cap at least "
-            r"2\^14284; use")):
+            r"has 2\^20000 \+ 2 elements, above the oracle cap 10{4300}; use")):
         eval_expr(parse_expr("koch(20000)"), EvalMode.MATERIALIZE,
                   oracle_cap=10 ** 4300)
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import tracemalloc
 from math import comb
 
@@ -15,6 +16,7 @@ from chirotri import (BivarPoly, EmptyInput, InternalInvariantViolation,
                       join_P, join_Q, meet, meet_P, q_from_p,
                       swap_vars, try_split, twist)
 from chirotri import polynomials
+from chirotri.polynomials import exact_str
 
 from helpers import BivarSpec, UnivarSpec, n_poly, random_rooted
 
@@ -334,8 +336,43 @@ def test_serialization_roundtrip():
     assert p.to_json() == '{"terms":[[0,0,"5"],[2,3,"-7"]]}'
 
 
+# Python's default int-to-str limit is 4,300 digits; these ints pass it
+_huge = st.integers(10 ** 4300, 10 ** 6000) | st.integers(-10 ** 6000, -10 ** 4300)
+
+
+def _str_without_limit(n: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers() | _huge)
+def test_exact_str_is_str_at_any_size(n):
+    assert exact_str(n) == _str_without_limit(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.dictionaries(st.integers(0, 6), _huge, min_size=1, max_size=3),
+       st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _huge,
+                       min_size=1, max_size=3),
+       st.integers(2, 5))
+def test_json_roundtrips_coefficients_past_the_str_digit_limit(du, db, small):
+    for p, cls in ((U(du), U), (B(db), B),
+                   (B({(a, b): c * small for a, c in du.items()
+                       for b in range(2)}), B)):
+        text = p.to_json()
+        assert cls.from_json(text) == p
+        assert max(map(len, (t[-1] for t in json.loads(text)["terms"]))) > 4300
+
+
 _MALFORMED_JSON = ["garbage", "{}", "[1]", '{"terms": 5}', '{"terms": [[1]]}',
-                   '{"terms": [[1, 2, "x"]]}']
+                   '{"terms": [[1, 2, "x"]]}', '{"terms": [[1, "1e5"]]}',
+                   '{"terms": [[1, " 5"]]}', '{"terms": [[1, "NaN"]]}',
+                   '{"terms": [[1, "--5"]]}', '{"terms": [[1, 5]]}']
 
 
 @pytest.mark.parametrize("cls, repeated, negative", [
