@@ -592,19 +592,13 @@ def test_cli_numbers_past_the_str_digit_limit(capsys):
         compose.koch(20000)
 
 
-def test_cli_output_is_independent_of_the_str_digit_limit(capsys):
-    # koch(10)'s count and Q coefficients, and D(k) from k = 599 on, have
-    # more digits than 640, the lowest int-to-str limit Python accepts; the
-    # lowered limit changes no byte of any output
-    runs = (["count", "--method", "poly", "koch(10)"],
-            ["poly", "koch(10)", "--which", "Q"],
-            ["dc-table", "--kmax", "700"],
-            ["dc-table", "--kmax", "700", "--format", "json"])
+def _same_output_at_str_digit_limit_640(capsys, runs):
+    # each run exits 0 at the default limit and again at 640, the lowest
+    # int-to-str limit Python accepts, with byte-identical output
     want = []
     for argv in runs:
         assert run_cli(argv) == 0, argv
         want.append(capsys.readouterr())
-    assert len(want[0].out) > 700 and len(want[2].out.splitlines()[-1]) > 700
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -613,6 +607,30 @@ def test_cli_output_is_independent_of_the_str_digit_limit(capsys):
             assert capsys.readouterr() == out, argv
     finally:
         sys.set_int_max_str_digits(limit)
+    return want
+
+
+def test_cli_poly_results_past_the_str_digit_limit(capsys):
+    # koch(10)'s count and Q coefficients have more than 640 digits; they
+    # print in full, and the lowered limit changes no byte of the output
+    want = _same_output_at_str_digit_limit_640(capsys, (
+        ["count", "--method", "poly", "koch(10)"],
+        ["poly", "koch(10)", "--which", "Q"]))
+    assert len(want[0].out) > 700
+    assert max(map(len, want[1].out.split('"'))) > 640
+
+
+def test_cli_dc_table_refuses_counts_past_the_print_limit(capsys):
+    # no count is refused for its length: D(k) has more than 640 digits from
+    # k = 599 on and prints in full, in CSV and JSON, at either limit; the
+    # one refusal left is of a --kmax below 3
+    want = _same_output_at_str_digit_limit_640(capsys, (
+        ["dc-table", "--kmax", "700"],
+        ["dc-table", "--kmax", "700", "--format", "json"]))
+    assert len(want[0].out.splitlines()[-1]) > 700
+    assert want[1].out.count('"exact":') == 698
+    assert run_cli(["dc-table", "--kmax", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: --kmax must be at least 3\n")
 
 
 @settings(max_examples=150, deadline=None)
