@@ -29,8 +29,9 @@ from .oracle import (DEFAULT_ORACLE_CAP, brute_P, brute_Q,
                      enumerate_weak)
 from .orderdb import (OrderTypeRecord, iter_order_types, read_order_types,
                       serialize_order_types)
-from .polynomials import (BivarPoly, UnivarPoly, count_weak_join, join_P,
-                          join_Q, meet_P, q_from_p, swap_vars, try_split)
+from .polynomials import (BivarPoly, UnivarPoly, chain_P, count_weak_join,
+                          join_P, join_Q, meet_P, q_from_p, swap_vars,
+                          try_split)
 from .search import SearchRow, koch_variant_search, rank_candidates, seed_score
 
 __version__ = "0.1.0"

@@ -14,13 +14,17 @@ level and may not be mixed without parentheses. Atom builtins: ``triangle``,
 
 One table, ``_ATOMS``, says what each builtin atom is: its arity, its
 builder, the element count it will build and, for the generators, its
-rewrite into merges of small leaves. One tree walk evaluates an expression
-under one of two operation tables keyed by node type. The materializing
-table builds the rooted chirotope with ``compose`` and refuses any result
-beyond the oracle cap, and any generator that would build one. The
-polynomial table propagates weak-triangulation polynomials without ever
-materializing a large chirotope: a generator atom is rewritten into shared
-subtrees of triangle or chi1 leaves, so any level is reachable.
+polynomial route through small leaves. One tree walk evaluates an
+expression under one of two operation tables keyed by node type. The
+materializing table builds the rooted chirotope with ``compose`` and
+refuses any result beyond the oracle cap, and any generator that would
+build one. The polynomial table propagates weak-triangulation polynomials
+without ever materializing a large chirotope, so any level is reachable:
+``koch(i)`` is rewritten into shared self-merges of one triangle, and
+``convex(n)`` and ``chik(k)``, chains of one triangle or chi1 leaf, run as
+one row recurrence (``polynomials.chain_P``). A chain spelled out by hand,
+``join(chi1, chi1, ...)`` or ``chi1 v chi1 v ...``, takes the general
+path, one ``join_P`` per link, and so is a second route to the generators.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import (ExprSyntaxError, MalformedFile, NotARootedChirotope,
                      OutOfRange, TooLarge)
 from .geometry import PointSet
 from .oracle import DEFAULT_ORACLE_CAP, brute_P
-from .polynomials import exact_str, join_P, meet_P, swap_vars
+from .polynomials import chain_P, exact_str, join_P, meet_P, swap_vars
 
 
 # -- AST ----------------------------------------------------------------------
@@ -334,11 +338,6 @@ def load_rooted(path: str, root: int | None = None) -> RootedChirotope:
     return RootedChirotope(chi, root)
 
 
-def _join_chain(leaf: str, count: int):
-    """Left-nested join of ``count`` copies of the atom ``leaf``."""
-    return reduce(Join, [Atom(leaf)] * count)
-
-
 def _koch_tree(level: int):
     """koch(level) as alternate self-joins and self-meets of one triangle."""
     node = Atom("triangle")
@@ -351,21 +350,24 @@ def _koch_tree(level: int):
 _CALLS = {"join": (2, None, Join), "meet": (2, None, Meet),
           "twist": (1, 1, Twist), "flip": (1, 1, Flip)}
 
-# name -> (fewest args, most args, builder, element count, polynomial rewrite).
+# name -> (fewest args, most args, builder, element count, polynomial route).
 # The builder is named, not stored: a function of ``compose``, or
 # ``load_rooted`` of this module, looked up at each call, so that rebinding
-# it takes effect. The element count and the rewrite take the atom's
+# it takes effect. The element count and the route take the atom's
 # arguments and give None outside the generator's domain, where the builder
-# raises its own typed error. koch has no element count: the materializing
-# table compares 2**i + 2 with the cap from the level alone.
+# raises its own typed error. The route is (tree, links): the atom's
+# polynomial is that of a chain of ``links`` copies of ``tree``. koch has no
+# element count: the materializing table compares 2**i + 2 with the cap
+# from the level alone.
 _ATOMS = {
     "triangle": (0, 0, "triangle", None, None),
     "chi1": (0, 0, "chi1", None, None),
     "convex": (1, 1, "convex", lambda n: n if n >= 3 else None,
-               lambda n: _join_chain("triangle", n - 2) if n >= 3 else None),
+               lambda n: (Atom("triangle"), n - 2) if n >= 3 else None),
     "chik": (1, 1, "chi_k", lambda k: 2 * k + 2 if k >= 1 else None,
-             lambda k: _join_chain("chi1", k) if k >= 1 else None),
-    "koch": (1, 1, "koch", None, lambda i: _koch_tree(i) if i >= 0 else None),
+             lambda k: (Atom("chi1"), k) if k >= 1 else None),
+    "koch": (1, 1, "koch", None,
+             lambda i: (_koch_tree(i), 1) if i >= 0 else None),
     "dc": (1, 1, "double_circle", None, None),
     "load": (1, 2, "load_rooted", None, None),
 }
@@ -409,14 +411,17 @@ def _materialize_ops(cap: int) -> dict:
 
 def _polynomial_ops(cap: int) -> dict:
     """Node type -> weak-triangulation polynomial operation. A generator
-    atom is rewritten into merges of small leaves; any other atom is built
-    and enumerated by the oracle under ``cap``."""
+    atom is evaluated by its route through small leaves; any other atom is
+    built and enumerated by the oracle under ``cap``."""
     def atom(e, memo):
-        rewrite = _ATOMS[e.name][4]
-        tree = rewrite and rewrite(*e.args)
-        if tree is None:
+        route = _ATOMS[e.name][4]
+        route = route and route(*e.args)
+        if route is None:
             return brute_P(_build(e), cap=cap)
-        return _eval(tree, ops, memo)
+        tree, links = route
+        if links > 1:  # one leaf for all chains of the expression
+            memo.setdefault(tree, None)
+        return chain_P(_eval(tree, ops, memo), links)
 
     # a flip reverses every orientation, which leaves crossings unchanged
     ops = {Atom: atom, Join: join_P, Meet: meet_P, Twist: swap_vars,
@@ -463,9 +468,9 @@ def _eval(e, ops: dict, memo: dict):
 
     ``memo`` holds a key for every such node, with its value, or None until
     that is computed. Other nodes are not kept, so a chain keeps none of its
-    intermediate values alive. A generator rewrite is walked by its own
-    call, so a node reached once in each of two rewrites (the left spine
-    that ``convex(199)`` shares with ``convex(200)``) is computed in both.
+    intermediate values alive. Each level of a koch rewrite is reached
+    twice, so it is kept: ``koch(3)`` and ``koch(4)`` in one expression
+    compute the levels of ``koch(3)`` once.
     """
     for node in _shared(e):
         memo.setdefault(node, None)

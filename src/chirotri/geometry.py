@@ -32,11 +32,22 @@ def orient(p, q, r) -> int:
     return 1 if d > 0 else -1
 
 
+def _clip(text: str, keep: int = 40) -> str:
+    """``text`` quoted for an error line: whole when short, else its first
+    ``keep`` characters and its length."""
+    if len(text) <= keep:
+        return repr(text)
+    return f"{text[:keep]!r}... ({len(text)} characters)"
+
+
 def _parse_coord(tok: str) -> Fraction:
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedFile(f"bad coordinate {tok!r}") from exc
+        # int() names this limit in its message; Fraction passes it on
+        reason = ("" if "integer string conversion" not in str(exc) else
+                  ": more digits than Python's int-from-str limit")
+        raise MalformedFile(f"bad coordinate {_clip(tok)}{reason}") from exc
 
 
 class PointSet:
@@ -86,7 +97,8 @@ class PointSet:
                 continue
             toks = line.split()
             if len(toks) != 2:
-                raise MalformedFile(f"line {lineno}: expected 'x y', got {raw!r}")
+                raise MalformedFile(f"line {lineno}: expected 'x y', got "
+                                    f"{_clip(raw)}")
             pts.append((_parse_coord(toks[0]), _parse_coord(toks[1])))
         return cls(pts)
 

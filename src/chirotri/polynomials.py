@@ -26,6 +26,12 @@ symmetric, so ``_merge_core`` builds only the rows' half on and above the
 diagonal, and the product of the two v-parts (u-parts for a meet) is a
 square, which ``UnivarPoly`` computes as one big-integer square (Kronecker
 substitution).
+
+A generator chain, ``chik(k)`` or ``convex(n)``, joins k copies of one leaf
+that factors, and ``chain_P`` evaluates it as one row recurrence: k - 1
+steps of ``_merge_core`` on the leaf's u-row and one power of its v-part,
+with no BivarPoly per link. A chain written out by hand takes ``join_P``
+link by link, the general path and a second route to the same factors.
 """
 
 from __future__ import annotations
@@ -165,6 +171,19 @@ class UnivarPoly:
                                    2 * self._lo)
 
     __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "UnivarPoly":
+        """self^n for n >= 1, by repeated squaring: one ``_square`` per bit
+        of n after the first, and one product with self per further set
+        bit."""
+        if not isinstance(n, int) or n < 1:
+            raise OutOfRange(f"bad power {n!r}")
+        out = self
+        for bit in bin(n)[3:]:
+            out = out._square()
+            if bit == "1":
+                out = out * self
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, UnivarPoly) and self._lo == other._lo
@@ -638,6 +657,36 @@ def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
                 "not weak-triangulation polynomials")
         rows, v0 = [row[1:] for row in rows], 0
     return BivarPoly.from_rows(rows, 0, v0)
+
+
+def chain_P(p: BivarPoly, links: int) -> BivarPoly:
+    """Weak-triangulation polynomial of the chain join(p, p, ..., p) of
+    ``links`` copies of p, folded to the left, for a p that factors into
+    U(u) * V(v), as the triangle and chi1 do.
+
+    The chain is one row recurrence: its u-part is U's row merged with U's
+    row ``links`` - 1 times, each a ``_merge_core`` step on plain lists,
+    and its v-part is V^links shifted down by links - 1, one shared phantom
+    segment per join. These are the factors, at the same scale, that
+    ``join_P`` builds link by link, without a BivarPoly, a split read or a
+    v-part product per link.
+    """
+    if not isinstance(links, int) or links < 1:
+        raise OutOfRange(f"a chain needs at least one link, got {links!r}")
+    if links == 1:
+        return p
+    split = try_split(p)
+    if split is None:
+        raise OutOfRange("a chain needs a polynomial that factors into a "
+                         "u-part times a v-part")
+    if p.min_u_exp() < 2:
+        raise OutOfRange("operand polynomials need minimum u-exponent >= 2")
+    u_part, v_part = split
+    row = g = u_part.row()
+    for _ in range(links - 1):
+        row = _merge_core(row, g)
+    return BivarPoly._from_factors(UnivarPoly.from_row(row),
+                                   (v_part ** links).shift(1 - links))
 
 
 def swap_vars(p: BivarPoly) -> BivarPoly:

@@ -22,11 +22,12 @@ from hypothesis import strategies as st
 from chirotri import (Chirotope, EvalMode, ExprSyntaxError,
                       GeneralPositionViolation, MalformedFile, OracleTooLarge,
                       OrderTypeRecord, OutOfRange, PointSet, RootedChirotope,
-                      TooLarge, brute_Q, chi1, chirotope_from_points, convex,
-                      count_triangulations, eval_expr, iter_order_types,
+                      TooLarge, TooSmall, brute_Q, chi1, chirotope_from_points,
+                      convex, count_triangulations, eval_expr, iter_order_types,
                       koch_variant_search, meet, meet_P, parse_expr,
                       print_expr, q_from_p, rank_candidates, read_order_types,
-                      seed_score, serialize_order_types, write_chi)
+                      seed_score, serialize_order_types, try_split,
+                      write_chi)
 from chirotri import compose
 from chirotri.cli import run_cli
 from chirotri.expr import Atom, Flip, Join, Meet, Twist
@@ -204,18 +205,64 @@ def test_polynomial_mode_expands_generators():
     assert q_from_p(p)(1) == catalan(12)
 
 
+def test_generator_chains_equal_the_chains_spelled_out():
+    # the row recurrence and the general path, one join_P per link, build
+    # the same polynomial and the same factors at the same scale
+    def poly(src):
+        return eval_expr(parse_expr(src), EvalMode.POLYNOMIAL)
+
+    cases = ([("chi1", k, f"chik({k})") for k in range(1, 31)]
+             + [("triangle", n - 2, f"convex({n})") for n in range(3, 41)])
+    for leaf, links, generator in cases:
+        chain = poly(generator)
+        by_hand = poly(leaf if links == 1 else
+                       "join(" + ", ".join([leaf] * links) + ")")
+        assert chain == by_hand, generator
+        assert try_split(chain) is not None, generator
+        assert try_split(chain) == try_split(by_hand), generator
+
+
+def test_generator_chains_call_no_join_p(monkeypatch):
+    from chirotri import expr, polynomials
+    calls = []
+
+    def spy(*args, _real=polynomials.join_P):
+        calls.append(args)
+        return _real(*args)
+    for module in (expr, polynomials):
+        monkeypatch.setattr(module, "join_P", spy)
+    for src in ("chik(40)", "convex(60)", "join(chik(3), convex(5))"):
+        calls.clear()
+        eval_expr(parse_expr(src), EvalMode.POLYNOMIAL)
+        assert len(calls) == src.count("join"), src
+    # a chain spelled out by hand takes join_P link by link
+    calls.clear()
+    eval_expr(parse_expr("chi1 v chi1 v chi1"), EvalMode.POLYNOMIAL)
+    assert len(calls) == 2
+
+
+def test_generator_arguments_out_of_domain_keep_their_errors():
+    for src, error, message in (("chik(0)", OutOfRange, "need k >= 1, got 0"),
+                                ("convex(2)", TooSmall, "needs n >= 3, got 2")):
+        for mode in EvalMode:
+            with pytest.raises(error, match=message):
+                eval_expr(parse_expr(src), mode)
+
+
 def test_memo_keeps_only_nodes_reached_twice(monkeypatch):
     # a chain reaches each spine node once, so no intermediate polynomial
-    # stays alive; keeping them all took about 11 MB for chik(300)
-    tree = parse_expr("chik(300)")
-    tracemalloc.start()
-    try:
-        p = eval_expr(tree, EvalMode.POLYNOMIAL)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_000_000
-    assert p == eval_expr(tree, EvalMode.POLYNOMIAL)
+    # stays alive; keeping them all took about 11 MB for chik(300). The
+    # generator keeps no intermediate row either
+    for src in ("chik(300)", "join(" + ", ".join(["chi1"] * 300) + ")"):
+        tree = parse_expr(src)
+        tracemalloc.start()
+        try:
+            p = eval_expr(tree, EvalMode.POLYNOMIAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, src[:9]
+        assert p == eval_expr(tree, EvalMode.POLYNOMIAL)
     # a shared tree still computes each distinct node once: the rewrite of
     # koch(3) is a subtree of that of koch(4)
     from chirotri import expr
@@ -722,6 +769,26 @@ def test_cli_count_points_file_needs_no_root(tmp_path, capsys):
     for extra in (["--drop-root"], ["--method", "poly"]):
         assert run_cli(["count", str(path), *extra]) == 1
         assert "no root given" in capsys.readouterr().err
+
+
+def test_cli_bad_coordinate_error_is_one_short_line(tmp_path, capsys):
+    # a coordinate past the int-from-str limit, or a line of three, is
+    # echoed cut short, with its length and the limit as the reason; a
+    # short bad one is echoed whole
+    path = tmp_path / "big.pts"
+    big = "9" * 5000
+    for line, start, tail in (
+            (f"{big} 1", "bad coordinate '9999", "(5000 characters): more "
+             "digits than Python's int-from-str limit\n"),
+            (f"1 2 {big}", "line 1: expected 'x y', got '1 2 99",
+             "(5004 characters)\n"),
+            ("1/x 1", "bad coordinate '1/x'", "'1/x'\n")):
+        path.write_text(f"{line}\n0 1\n1 0\n")
+        assert run_cli(["count", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: " + start), err[:80]
+        assert err.endswith(tail) and err.count("\n") == 1
+        assert len(err.encode()) < 200
 
 
 def test_cli_count_poly_accepts_rooted_file(tmp_path, capsys):

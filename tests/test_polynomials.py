@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from chirotri import (BivarPoly, EmptyInput, InternalInvariantViolation,
                       MalformedFile, OutOfRange, UnivarPoly, brute_P, brute_Q,
-                      chi1, chi_k, convex, count_weak_join, enumerate_weak, join,
-                      join_P, join_Q, meet, meet_P, q_from_p,
-                      swap_vars, try_split, twist)
+                      chain_P, chi1, chi_k, convex, count_weak_join,
+                      enumerate_weak, join, join_P, join_Q, meet, meet_P,
+                      q_from_p, swap_vars, try_split, twist)
 from chirotri import polynomials
 from chirotri.polynomials import exact_str
 
@@ -336,8 +336,14 @@ def test_serialization_roundtrip():
     assert p.to_json() == '{"terms":[[0,0,"5"],[2,3,"-7"]]}'
 
 
-# Python's default int-to-str limit is 4,300 digits; these ints pass it
-_huge = st.integers(10 ** 4300, 10 ** 6000) | st.integers(-10 ** 6000, -10 ** 4300)
+# Python's default int-to-str limit is 4,300 digits; these ints pass it.
+# Each is built from a few small draws: a leading digit, a digit count, an
+# offset and a sign. Drawn whole, one took about 2.5 KB of entropy, and an
+# example of six could fail hypothesis's data-size health check.
+_huge = st.builds(lambda lead, digits, offset, sign:
+                  sign * (lead * 10 ** (digits - 1) + offset),
+                  st.integers(1, 9), st.integers(4301, 6000),
+                  st.integers(0, 10 ** 12), st.sampled_from((1, -1)))
 
 
 def _str_without_limit(n: int) -> str:
@@ -632,3 +638,42 @@ def test_factored_evaluation_reads_the_factors():
                 assert lazy(u, v) == sum(c * u ** a * v ** b
                                          for (a, b), c in terms)
             assert lazy._rows is None  # evaluated from the factors alone
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank1, st.integers(1, 7))
+@example(brute_P(chi1()), 9)
+@example(brute_P(join(convex(3), convex(3))[0]), 6)
+def test_chain_p_is_the_fold_of_join_p(p, links):
+    # the row recurrence gives the left fold of join_P, factors and scale
+    # included
+    fold = p
+    for _ in range(links - 1):
+        fold = join_P(fold, p)
+    chain = chain_P(p, links)
+    assert chain == fold
+    assert try_split(chain) == try_split(fold)
+
+
+def test_chain_p_refuses_what_join_p_refuses():
+    for links in (0, -1, 2.0):
+        with pytest.raises(OutOfRange, match="at least one link"):
+            chain_P(brute_P(chi1()), links)
+    with pytest.raises(OutOfRange, match="minimum u-exponent"):
+        chain_P(B({(1, 2): 1}), 2)
+    for p in (B({}), B({(2, 2): 1, (3, 3): 1})):  # neither factors
+        with pytest.raises(OutOfRange, match="factors into"):
+            chain_P(p, 2)
+        assert chain_P(p, 1) is p
+
+
+@settings(deadline=None)
+@given(_gapped, st.integers(1, 12))
+def test_power_is_the_repeated_product(q, n):
+    product = q
+    for _ in range(n - 1):
+        product = product * q
+    assert q ** n == product
+    with pytest.raises(OutOfRange, match="bad power"):
+        q ** 0
