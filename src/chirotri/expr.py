@@ -414,8 +414,8 @@ def _polynomial_ops(cap: int) -> dict:
     atom is evaluated by its route through small leaves; any other atom is
     built and enumerated by the oracle under ``cap``."""
     def atom(e, memo):
-        route = _ATOMS[e.name][4]
-        route = route and route(*e.args)
+        make_route = _ATOMS[e.name][4]
+        route = make_route and make_route(*e.args)
         if route is None:
             return brute_P(_build(e), cap=cap)
         tree, links = route
