@@ -13,9 +13,6 @@ from .chirotope import (AxiomReport, Chirotope, RootedChirotope,
                         write_chi)
 from .compose import (LabelMap, chi1, chi_k, convex, double_circle,
                       double_circle_points, join, koch, meet, triangle, twist)
-from .doublecircle import (AsymptoticConstants, KernelPoint, QkTable,
-                           asymptotic_report, constants, dc_count, df_series,
-                           f_closed, f_series, kernel, qk_step, small_roots)
 from .errors import (ChirotriError, ConstructionFailed, EmptyInput,
                      ExprSyntaxError, GeneralPositionViolation,
                      InternalInvariantViolation, InvalidTriple, MalformedFile,
@@ -35,3 +32,16 @@ from .polynomials import (BivarPoly, UnivarPoly, chain_P, count_weak_join,
 from .search import SearchRow, koch_variant_search, rank_candidates, seed_score
 
 __version__ = "0.1.0"
+
+# the double-circle names load their module, and with it mpmath, on first use
+_DOUBLE_CIRCLE = frozenset((
+    "AsymptoticConstants", "KernelPoint", "QkTable", "asymptotic_report",
+    "constants", "dc_count", "df_series", "f_closed", "f_series", "kernel",
+    "qk_step", "small_roots"))
+
+
+def __getattr__(name):
+    if name in _DOUBLE_CIRCLE:
+        from . import doublecircle
+        return getattr(doublecircle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,8 +16,8 @@ from itertools import combinations
 from math import lcm
 
 from .errors import (GeneralPositionViolation, InvalidTriple, MalformedFile,
-                     NotARootedChirotope, SharedEndpoint, TooSmall)
-from .geometry import PointSet, det
+                     NotARootedChirotope, SharedEndpoint, TooSmall, clip)
+from .geometry import PointSet, det, points_text
 
 
 def sorted_triples(n: int):
@@ -38,30 +38,24 @@ class Chirotope:
 
     __slots__ = ("n", "_pos")
 
-    def __init__(self, n: int, table: dict):
+    def __init__(self, n: int, signs):
+        """``signs``: one +1 or -1 per sorted triple, in lexicographic order
+        (the order of ``items()``), as any iterable."""
         if n < 3:
             raise TooSmall(f"need at least 3 elements, got {n}")
+        signs = list(signs)
         expected = n * (n - 1) * (n - 2) // 6
-        if len(table) != expected:
-            raise InvalidTriple(f"table has {len(table)} entries, expected {expected}")
-        # the count is right, so the keys are the sorted triples exactly when
-        # each one is a triple of ints i < j < k in 0..n-1
-        try:
-            keys_ok = all(0 <= i < j < k < n and isinstance(i + j + k, int)
-                          for i, j, k in table)
-        except (TypeError, ValueError):
-            keys_ok = False
-        if not keys_ok:
-            raise InvalidTriple(f"table keys are not the sorted triples of 0..{n - 1}")
-        for t, s in table.items():
-            if s not in (1, -1):
-                raise InvalidTriple(f"sign of {t} must be +1 or -1, got {s}")
+        if len(signs) != expected:
+            raise InvalidTriple(f"got {len(signs)} signs, expected {expected}")
         self.n = n
         # _pos[a][b]: the bitmask of the c with sign(a, b, c) = +1; it never
         # holds a or b
         pos = [[0] * n for _ in range(n)]
-        for (i, j, k), s in table.items():
-            if s < 0:
+        for (i, j, k), s in zip(sorted_triples(n), signs):
+            if s != 1:
+                if s != -1:
+                    raise InvalidTriple(f"sign of {(i, j, k)} must be +1 or "
+                                        f"-1, got {s}")
                 i, j = j, i
             pos[i][j] |= 1 << k
             pos[j][k] |= 1 << i
@@ -100,7 +94,7 @@ class Chirotope:
 
     def flipped(self) -> "Chirotope":
         """Chirotope with every orientation reversed."""
-        return Chirotope(self.n, {t: -s for t, s in self.items()})
+        return Chirotope(self.n, [-s for _, s in self.items()])
 
     def restrict(self, keep) -> tuple["Chirotope", dict]:
         """Restriction to a label subset, relabeled densely in increasing order.
@@ -112,10 +106,9 @@ class Chirotope:
             raise TooSmall(f"restriction needs at least 3 labels, got {len(kept)}")
         if kept[0] < 0 or kept[-1] >= self.n:
             raise InvalidTriple(f"labels out of range in {kept}")
-        table = {}
-        for (a, b, c) in combinations(range(len(kept)), 3):
-            table[(a, b, c)] = self._sign(kept[a], kept[b], kept[c])
-        return Chirotope(len(kept), table), {old: new for new, old in enumerate(kept)}
+        signs = [self._sign(kept[a], kept[b], kept[c])
+                 for a, b, c in sorted_triples(len(kept))]
+        return Chirotope(len(kept), signs), {old: new for new, old in enumerate(kept)}
 
     def extreme_elements(self) -> frozenset:
         """Labels x admitting a witness y with sign(x, y, z) constant over z."""
@@ -227,15 +220,15 @@ def chirotope_from_points(ps: PointSet) -> Chirotope:
     scale = lcm(*(c.denominator for p in ps for c in p))
     pts = [(x.numerator * (scale // x.denominator),
             y.numerator * (scale // y.denominator)) for x, y in ps]
-    table = {}
-    for t in sorted_triples(n):
-        i, j, k = t
+    signs = []
+    for i, j, k in sorted_triples(n):
         d = det(pts[i], pts[j], pts[k])
         if d == 0:
-            raise GeneralPositionViolation(f"labels ({i}, {j}, {k}): collinear "
-                                           f"points {ps[i]}, {ps[j]}, {ps[k]}")
-        table[t] = 1 if d > 0 else -1
-    return Chirotope(n, table)
+            raise GeneralPositionViolation(
+                f"labels ({i}, {j}, {k}): collinear points "
+                f"{points_text(ps[i], ps[j], ps[k])}")
+        signs.append(1 if d > 0 else -1)
+    return Chirotope(n, signs)
 
 
 def segments_cross(chi: Chirotope, a, b) -> bool:
@@ -257,6 +250,7 @@ def segments_cross(chi: Chirotope, a, b) -> bool:
 # -- .chi text format ------------------------------------------------------
 
 _CHI_HEADER = "chirotope v1"
+_SIGN_OF = {"+": 1, "-": -1, "−": -1}  # the unicode minus reads as '-'
 
 
 def write_chi(chi: Chirotope, root=None) -> str:
@@ -284,14 +278,14 @@ def read_chi(text: str) -> tuple[Chirotope, int | None]:
     try:
         n = int(lines[1][2:])
     except ValueError as exc:
-        raise MalformedFile(f"bad element count {lines[1]!r}") from exc
+        raise MalformedFile(f"bad element count {clip(lines[1])}") from exc
     pos = 2
     root = None
     if pos < len(lines) and lines[pos].startswith("root "):
         try:
             root = int(lines[pos][5:])
         except ValueError as exc:
-            raise MalformedFile(f"bad root {lines[pos]!r}") from exc
+            raise MalformedFile(f"bad root {clip(lines[pos])}") from exc
         pos += 1
     if pos >= len(lines) or lines[pos] != "triples":
         raise MalformedFile("missing 'triples' line")
@@ -300,12 +294,8 @@ def read_chi(text: str) -> tuple[Chirotope, int | None]:
     expected = n * (n - 1) * (n - 2) // 6
     if len(blob) != expected:
         raise MalformedFile(f"expected {expected} sign characters, got {len(blob)}")
-    table = {}
-    for t, ch in zip(sorted_triples(n), blob):
-        if ch == "+":
-            table[t] = 1
-        elif ch in "-−":
-            table[t] = -1
-        else:
-            raise MalformedFile(f"bad sign character {ch!r}")
-    return Chirotope(n, table), root
+    try:
+        signs = [_SIGN_OF[ch] for ch in blob]
+    except KeyError as exc:
+        raise MalformedFile(f"bad sign character {exc.args[0]!r}") from None
+    return Chirotope(n, signs), root

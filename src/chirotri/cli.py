@@ -3,7 +3,8 @@
 Subcommands: axioms, count, poly, dc-table, kernel-report, search. Exit code
 0 on success, 1 on a domain error, 2 on a usage error. All counts and scores
 are printed in full as decimal strings (``exact_str``), at any length; CSV
-and JSON output is byte-deterministic.
+and JSON output is byte-deterministic. Only dc-table and kernel-report
+import the double-circle module, and with it mpmath.
 """
 
 from __future__ import annotations
@@ -15,16 +16,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath as mp
-
-from .doublecircle import (DEFAULT_DPS, QkTable, asymptotic_report,
-                           df_series, f_closed, f_series, small_roots)
-from .errors import ChirotriError, OutOfRange, WriteFailed
+from .errors import ChirotriError, OutOfRange, WriteFailed, clip
 from .expr import (Atom, EvalMode, eval_expr, load_chirotope, load_rooted,
                    parse_expr)
 from .oracle import DEFAULT_ORACLE_CAP, count_triangulations
 from .orderdb import read_order_types
-from .polynomials import exact_str, q_from_p
+from .polynomials import DEFAULT_DPS, exact_str, q_from_p
 from .search import check_pipeline, koch_variant_search
 
 
@@ -91,6 +88,8 @@ def _nstr(x, n: int) -> str:
     of those digits and on their count, so it is nstr of that prefix with
     the exponent shifted back.
     """
+    import mpmath as mp
+
     if not 2000 <= mp.mag(x) <= 3500:
         return mp.nstr(x, n)
     digits = exact_str(int(x))
@@ -99,6 +98,10 @@ def _nstr(x, n: int) -> str:
 
 
 def _cmd_dc_table(args) -> int:
+    import mpmath as mp
+
+    from .doublecircle import asymptotic_report
+
     if args.kmax < 3:
         raise OutOfRange("--kmax must be at least 3")
     fields = ("k", "exact", "estimate", "ratio")
@@ -116,10 +119,15 @@ def _cmd_dc_table(args) -> int:
 
 
 def _cmd_kernel_report(args) -> int:
+    import mpmath as mp
+
+    from .doublecircle import (QkTable, df_series, f_closed, f_series,
+                               small_roots)
+
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError) as exc:
-        raise OutOfRange(f"bad rational {args.x!r}") from exc
+        raise OutOfRange(f"bad rational {clip(args.x)}") from exc
     if args.terms < 1:
         raise OutOfRange("--terms must be at least 1")
     dps = args.precision

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .chirotope import Chirotope, RootedChirotope, chirotope_from_points
 from .errors import (ConstructionFailed, GeneralPositionViolation, OutOfRange,
@@ -68,7 +69,7 @@ def _merge(rc1: RootedChirotope, rc2: RootedChirotope, negate_mixed: bool):
     s2 = chi2._sign
     mix = -1 if negate_mixed else 1
 
-    table = {}
+    signs = []
     for a, b, c in combinations(range(n3), 3):
         if a >= nl:  # a is right or x0: all on side 2
             s = s2(m2[a], m2[b], m2[c])
@@ -82,9 +83,9 @@ def _merge(rc1: RootedChirotope, rc2: RootedChirotope, negate_mixed: bool):
             s = -mix * s1(m1[a], um1, r1)
         else:  # (left, right, right)
             s = mix * s2(r2, m2[b], m2[c])
-        table[(a, b, c)] = s
+        signs.append(s)
 
-    rc = RootedChirotope(Chirotope(n3, table), root3)
+    rc = RootedChirotope(Chirotope(n3, signs), root3)
     from_left = {x: i for i, x in enumerate(m1) if x is not None}
     from_right = {x: i for i, x in enumerate(m2) if x is not None}
     return rc, LabelMap(from_left, from_right, x0, root3)
@@ -102,8 +103,8 @@ def twist(rc: RootedChirotope) -> RootedChirotope:
     root is negated. Applying twist twice restores the original.
     """
     r = rc.root
-    table = {t: (-s if r in t else s) for t, s in rc.chi.items()}
-    return RootedChirotope(Chirotope(rc.chi.n, table), r)
+    signs = [-s if r in t else s for t, s in rc.chi.items()]
+    return RootedChirotope(Chirotope(rc.chi.n, signs), r)
 
 
 def meet(rc1: RootedChirotope, rc2: RootedChirotope):
@@ -121,8 +122,7 @@ def convex(n: int) -> RootedChirotope:
     """Counterclockwise-labeled convex n-gon, rooted at label 0."""
     if n < 3:
         raise TooSmall(f"convex position needs n >= 3, got {n}")
-    table = {t: 1 for t in combinations(range(n), 3)}
-    return RootedChirotope(Chirotope(n, table), 0)
+    return RootedChirotope(Chirotope(n, [1] * comb(n, 3)), 0)
 
 
 def triangle() -> RootedChirotope:

@@ -44,9 +44,7 @@ from operator import add, mul
 import mpmath as mp
 
 from .errors import NumericalInstability, OutOfRange
-from .polynomials import UnivarPoly
-
-DEFAULT_DPS = 50
+from .polynomials import DEFAULT_DPS, UnivarPoly
 
 
 def _workdps(dps):

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``clip`` for echoing user
+text in their messages."""
+
+
+def clip(text: str, keep: int = 40, quote: bool = True) -> str:
+    """``text`` for an error line: whole when short, else its first ``keep``
+    characters and its length; quoted by ``repr`` unless ``quote`` is false."""
+    head = text[:keep]
+    shown = repr(head) if quote else head
+    return shown if len(text) <= keep else f"{shown}... ({len(text)} characters)"
 
 
 class ChirotriError(Exception):

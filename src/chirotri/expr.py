@@ -40,7 +40,7 @@ from . import compose
 from .chirotope import (Chirotope, RootedChirotope, chirotope_from_points,
                         read_chi)
 from .errors import (ExprSyntaxError, MalformedFile, NotARootedChirotope,
-                     OutOfRange, TooLarge)
+                     OutOfRange, TooLarge, clip)
 from .geometry import PointSet
 from .oracle import DEFAULT_ORACLE_CAP, brute_P
 from .polynomials import chain_P, exact_str, join_P, meet_P, swap_vars
@@ -177,8 +177,8 @@ class _Parser:
     def expect(self, kind: str) -> _Tok:
         t = self.peek()
         if t.kind != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {t.text or t.kind!r}",
-                                  t.line, t.col)
+            raise ExprSyntaxError(f"expected {kind!r}, found "
+                                  f"{clip(t.text or t.kind)}", t.line, t.col)
         return self.next()
 
     def expr(self):
@@ -210,11 +210,11 @@ class _Parser:
             return node
         if t.kind != "IDENT":
             raise ExprSyntaxError(f"expected an expression, found "
-                                  f"{t.text or t.kind!r}", t.line, t.col)
+                                  f"{clip(t.text or t.kind)}", t.line, t.col)
         name = t.text
         call = _CALLS.get(name)
         if call is None and name not in _ATOMS:
-            raise ExprSyntaxError(f"unknown identifier {name!r}", t.line, t.col)
+            raise ExprSyntaxError(f"unknown identifier {clip(name)}", t.line, t.col)
         # entries parse in this frame: a nested call adds 2 stack frames, not 3
         parse, args = (self.value if call is None else self.expr), []
         for _ in self.args():
@@ -262,7 +262,7 @@ class _Parser:
             self.next()
             return t.text
         raise ExprSyntaxError(f"expected a number or string, found "
-                              f"{t.text or t.kind!r}", t.line, t.col)
+                              f"{clip(t.text or t.kind)}", t.line, t.col)
 
 
 def parse_expr(src: str):
@@ -275,7 +275,7 @@ def parse_expr(src: str):
                               t.col) from None
     t = p.peek()
     if t.kind != "EOF":
-        raise ExprSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
+        raise ExprSyntaxError(f"trailing input {clip(t.text)}", t.line, t.col)
     return node
 
 

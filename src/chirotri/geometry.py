@@ -9,7 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import GeneralPositionViolation, MalformedFile
+from .errors import GeneralPositionViolation, MalformedFile, clip
+from .polynomials import exact_str
 
 Point = tuple[Fraction, Fraction]
 
@@ -28,16 +29,23 @@ def orient(p, q, r) -> int:
     """
     d = det(p, q, r)
     if d == 0:
-        raise GeneralPositionViolation(f"collinear points {p}, {q}, {r}")
+        raise GeneralPositionViolation(f"collinear points {points_text(p, q, r)}")
     return 1 if d > 0 else -1
 
 
-def _clip(text: str, keep: int = 40) -> str:
-    """``text`` quoted for an error line: whole when short, else its first
-    ``keep`` characters and its length."""
-    if len(text) <= keep:
-        return repr(text)
-    return f"{text[:keep]!r}... ({len(text)} characters)"
+def _coord_str(c) -> str:
+    """An exact coordinate as ``a`` or ``a/b``, at any length."""
+    c = Fraction(c)
+    if c.denominator == 1:
+        return exact_str(c.numerator)
+    return f"{exact_str(c.numerator)}/{exact_str(c.denominator)}"
+
+
+def points_text(*points) -> str:
+    """Points for an error line, each coordinate exact and cut short."""
+    return ", ".join(f"({clip(_coord_str(x), 16, quote=False)}, "
+                     f"{clip(_coord_str(y), 16, quote=False)})"
+                     for x, y in points)
 
 
 def _parse_coord(tok: str) -> Fraction:
@@ -47,7 +55,7 @@ def _parse_coord(tok: str) -> Fraction:
         # int() names this limit in its message; Fraction passes it on
         reason = ("" if "integer string conversion" not in str(exc) else
                   ": more digits than Python's int-from-str limit")
-        raise MalformedFile(f"bad coordinate {_clip(tok)}{reason}") from exc
+        raise MalformedFile(f"bad coordinate {clip(tok)}{reason}") from exc
 
 
 class PointSet:
@@ -98,17 +106,13 @@ class PointSet:
             toks = line.split()
             if len(toks) != 2:
                 raise MalformedFile(f"line {lineno}: expected 'x y', got "
-                                    f"{_clip(raw)}")
+                                    f"{clip(raw)}")
             pts.append((_parse_coord(toks[0]), _parse_coord(toks[1])))
         return cls(pts)
 
     def to_text(self) -> str:
-        lines = []
-        for x, y in self.points:
-            sx = str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-            sy = str(y.numerator) if y.denominator == 1 else f"{y.numerator}/{y.denominator}"
-            lines.append(f"{sx} {sy}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(f"{_coord_str(x)} {_coord_str(y)}"
+                         for x, y in self.points) + "\n"
 
 
 def convex_hull_labels(ps: PointSet) -> list[int]:

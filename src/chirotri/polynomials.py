@@ -391,6 +391,11 @@ class BivarPoly:
         return cls(_terms_from_json(text, 2))
 
 
+# significant digits of the double-circle analytics when none is asked for;
+# kept here, beside ``exact_str``, so that the CLI reads it without mpmath
+DEFAULT_DPS = 50
+
+
 def exact_str(n: int) -> str:
     """n in decimal at any length, with no global setting changed.
 

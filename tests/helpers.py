@@ -54,10 +54,10 @@ def table_sign(table, x, y, z):
 def with_flips(chi, flips, rng) -> Chirotope:
     """A copy of ``chi`` with ``flips`` distinct sorted triples negated; it
     is usually no longer a chirotope of any point set."""
-    table = dict(chi.items())
-    for t in rng.sample(sorted(table), flips):
-        table[t] = -table[t]
-    return Chirotope(chi.n, table)
+    signs = [s for _, s in chi.items()]
+    for i in rng.sample(range(len(signs)), flips):
+        signs[i] = -signs[i]
+    return Chirotope(chi.n, signs)
 
 
 def chi1_fixture_points() -> PointSet:

@@ -2,10 +2,11 @@
 
 Valid ``.chi``, ``.pts``, order-type and expression inputs are mutated a few
 bytes at a time and run through ``run_cli``. Every run must return 0, 1 or
-2; an exception that escapes ``run_cli`` fails the test. Only routes whose
-cost is bounded are run: brute-force counts under the default oracle cap,
-the axiom scan, ``search --levels 4`` on 5-point records, and expressions
-built from small literals.
+2; an exception that escapes ``run_cli`` fails the test, and so does an
+``error:`` line of 300 bytes or more. Only routes whose cost is bounded are
+run: brute-force counts under the default oracle cap, the axiom scan,
+``search --levels 4`` on 5-point records, and expressions built from small
+literals.
 """
 
 import contextlib
@@ -88,3 +89,6 @@ def test_mutated_inputs_end_in_an_exit_code(tmp_path_factory, case):
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert err.getvalue().startswith("usage:"), argv
+    for line in err.getvalue().splitlines():
+        if line.startswith("error: "):
+            assert len(line.encode()) < 300, (argv, line[:80])

@@ -66,7 +66,7 @@ def test_chirotope_from_points_rational_signs_and_message():
     with pytest.raises(GeneralPositionViolation) as info:
         chirotope_from_points(ps)
     assert str(info.value) == ("labels (0, 1, 3): collinear points "
-                               f"{ps[0]}, {ps[1]}, {ps[3]}")
+                               "(0, 0), (1/3, 1), (2/3, 2)")
 
 
 def test_chi1_fixture_axioms_and_interior_point():
@@ -101,20 +101,31 @@ def test_sign_rejects_bad_triples():
         chi.sign(0, 1, 4)
 
 
-def test_table_keys_must_be_the_sorted_triples():
-    table = {t: 1 for t in sorted_triples(4)}
-    Chirotope(4, table)
-    # right size, wrong keys: an unsorted triple, an out-of-range label, a
-    # repeated label, a non-integer label, and keys that are no triple
-    for bad, good in (((1, 0, 2), (0, 1, 2)), ((0, 1, 4), (1, 2, 3)),
-                      ((-1, 1, 2), (0, 1, 2)), ((0, 0, 1), (0, 1, 2)),
-                      ((0.5, 1, 2), (0, 1, 2)), ((0, 1, 2, 3), (0, 1, 2)),
-                      ("abc", (0, 1, 2)), (7, (0, 1, 2))):
-        wrong = dict(table)
-        del wrong[good]
-        wrong[bad] = 1
-        with pytest.raises(InvalidTriple, match="not the sorted triples of 0..3"):
-            Chirotope(4, wrong)
+def test_constructor_takes_one_sign_per_sorted_triple():
+    assert Chirotope(4, [1, -1, 1, 1]) == Chirotope(4, (1, -1, 1, 1))
+    # any iterable, a generator too
+    assert Chirotope(4, (s for s in [1, -1, 1, 1])).sign(0, 1, 3) == -1
+    # a wrong length, a sign outside +/-1, and a dict, whose keys are no signs
+    for bad, match in (([1, 1, 1], "got 3 signs, expected 4"),
+                       ([1] * 5, "got 5 signs, expected 4"),
+                       ([1, 0, 1, 1], r"sign of \(0, 1, 3\) must be \+1 or -1"),
+                       ([1, 1, 1, "+"], r"sign of \(1, 2, 3\)"),
+                       ({t: 1 for t in sorted_triples(4)}, r"got \(0, 1, 2\)")):
+        with pytest.raises(InvalidTriple, match=match):
+            Chirotope(4, bad)
+    with pytest.raises(TooSmall):
+        Chirotope(2, [])
+
+
+def test_sign_vector_round_trips_on_point_sets():
+    rng = random.Random(61)
+    for n in range(3, 13):
+        ps = random_point_set(n, rng)
+        chi = chirotope_from_points(ps)
+        assert Chirotope(n, [s for _, s in chi.items()]) == chi
+        assert read_chi(write_chi(chi)) == (chi, None)
+        assert [s for _, s in chi.items()] == [
+            orient(ps[i], ps[j], ps[k]) for i, j, k in sorted_triples(n)]
 
 
 def test_axioms_hold_for_random_realizable():
@@ -127,9 +138,8 @@ def test_axioms_hold_for_random_realizable():
 
 def test_axioms_convex6_and_mutated_convex5():
     assert convex(6).chi.check_axioms().ok
-    table = {t: 1 for t in sorted_triples(5)}
-    table[(1, 2, 4)] = -1
-    report = Chirotope(5, table).check_axioms()
+    signs = [-1 if t == (1, 2, 4) else 1 for t in sorted_triples(5)]
+    report = Chirotope(5, signs).check_axioms()
     assert not report.ok
     assert report.interiority or report.transitivity
 
@@ -144,15 +154,10 @@ def test_check_axioms_matches_nested_loop_spec():
         tables.append(chi)
         if n > 8:
             continue
-        triples = list(sorted_triples(n))
-        for flips in (3, len(triples) // 2):
-            table = dict(chi.items())
-            for t in rng.sample(triples, flips):
-                table[t] = -table[t]
-            tables.append(Chirotope(n, table))
-    table = {t: 1 for t in sorted_triples(5)}
-    table[(1, 2, 4)] = -1
-    tables.append(Chirotope(5, table))
+        for flips in (3, comb(n, 3) // 2):
+            tables.append(with_flips(chi, flips, rng))
+    tables.append(Chirotope(5, [-1 if t == (1, 2, 4) else 1
+                                for t in sorted_triples(5)]))
     seen_bad = 0
     for chi in tables:
         report = chi.check_axioms()
@@ -226,9 +231,8 @@ def test_hull_neighbors_missing_witness():
     # sign(0, y, z) = +1 reads "y beats z": 1 beats 2, 3 and 4, which beat
     # each other in a cycle, so 0 has a successor but no predecessor; a
     # non-realizable table that only a .chi file can carry
-    table = {t: 1 for t in sorted_triples(5)}
-    table[(0, 2, 4)] = -1
-    rc = RootedChirotope(Chirotope(5, table), 0)
+    signs = [-1 if t == (0, 2, 4) else 1 for t in sorted_triples(5)]
+    rc = RootedChirotope(Chirotope(5, signs), 0)
     with pytest.raises(NotARootedChirotope, match="missing hull neighbor"):
         rc.hull_neighbors()
 
@@ -304,7 +308,7 @@ def _sign_tables(draw):
     n = draw(st.integers(3, 9))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=comb(n, 3),
                           max_size=comb(n, 3)))
-    return Chirotope(n, dict(zip(sorted_triples(n), signs)))
+    return Chirotope(n, signs)
 
 
 _CHI7 = chirotope_from_points(random_point_set(7, random.Random(31)))
@@ -357,7 +361,7 @@ def test_side_masks_answer_like_the_input_table():
                 tables.append((n, flipped))
     rooted = 0
     for n, table in tables:
-        chi = Chirotope(n, table)
+        chi = Chirotope(n, [table[t] for t in sorted_triples(n)])
         assert list(chi.items()) == sorted(table.items())
         assert all(chi.sign(*p) == table_sign(table, *p)
                    for p in permutations(range(n), 3))
@@ -376,19 +380,19 @@ def test_side_masks_answer_like_the_input_table():
             list(enumerate_weak(rc))
             rooted += 1
         # the oracle extends copies of the masks, never the stored ones
-        assert chi == Chirotope(n, table)
+        assert chi == Chirotope(n, [table[t] for t in sorted_triples(n)])
     assert rooted > 100
 
 
 def test_chirotope_retains_only_its_side_masks():
-    # 60 elements: 3,600 masks of up to 60 bits, about 0.3 MB; a copy of the
-    # sorted-triple dict of its 34,220 signs takes about 1.4 MB, and a set of
-    # those triples, built to check the keys, about 4 MB
+    # 60 elements: 3,600 masks of up to 60 bits, about 0.3 MB; a dict of its
+    # 34,220 signs keyed by sorted triple takes about 1.4 MB, and a set of
+    # those triples about 4 MB
     rng = random.Random(59)
-    table = {t: rng.choice((1, -1)) for t in sorted_triples(60)}
+    signs = [rng.choice((1, -1)) for _ in range(comb(60, 3))]
     tracemalloc.start()
     try:
-        chi = Chirotope(60, table)
+        chi = Chirotope(60, signs)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

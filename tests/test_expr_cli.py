@@ -504,10 +504,10 @@ def test_cli_axioms(tmp_path, capsys):
     # list, in scan order
     pts = PointSet([(6, 13), (1, 15), (11, 18), (17, 6), (16, 13), (15, 11),
                     (13, 11), (0, 17)])
-    table = dict(chirotope_from_points(pts).items())
-    for t in ((1, 5, 7), (2, 3, 7), (3, 5, 7)):
-        table[t] = -table[t]
-    path.write_text(write_chi(Chirotope(8, table)))
+    flips = ((1, 5, 7), (2, 3, 7), (3, 5, 7))
+    signs = [-s if t in flips else s
+             for t, s in chirotope_from_points(pts).items()]
+    path.write_text(write_chi(Chirotope(8, signs)))
     assert run_cli(["axioms", str(path)]) == 1
     assert capsys.readouterr().out == _BAD8_AXIOMS
 
@@ -791,6 +791,47 @@ def test_cli_bad_coordinate_error_is_one_short_line(tmp_path, capsys):
         assert len(err.encode()) < 200
 
 
+def test_cli_echoed_user_text_is_cut_short(tmp_path, capsys):
+    # every echo of user text goes through one clip: a long token prints its
+    # first 40 characters and its length, a short one prints whole
+    chi, pts = tmp_path / "bad.chi", tmp_path / "col.pts"
+    long_n = "7" * 6000
+    cases = [
+        (chi, f"chirotope v1\nn {long_n}\ntriples\n+\n", ["count", str(chi)],
+         "bad element count 'n 7777", "(6002 characters)"),
+        (chi, "chirotope v1\nn x\ntriples\n+\n", ["count", str(chi)],
+         "bad element count 'n x'", "'n x'"),
+        (chi, f"chirotope v1\nn 3\nroot {long_n}\ntriples\n+\n",
+         ["count", str(chi)], "bad root 'root 7777", "(6005 characters)"),
+        (None, None, ["kernel-report", "--x", "1/" + "9" * 5000],
+         "bad rational '1/9999", "(5002 characters)"),
+        (None, None, ["kernel-report", "--x", "1/x"], "bad rational '1/x'",
+         "'1/x'"),
+        (None, None, ["count", "x" * 6000], "unknown identifier 'xxxx",
+         "(6000 characters) (line 1, column 1)"),
+        (None, None, ["count", "koch(2) " + "b" * 6000], "trailing input 'bbbb",
+         "(6000 characters) (line 1, column 9)"),
+        (None, None, ["count", "join(koch(2) " + "b" * 6000 + ")"],
+         "expected ')', found 'bbbb", "(6000 characters) (line 1, column 14)"),
+        (None, None, ["count", "koch(2) foo"], "trailing input 'foo'",
+         "'foo' (line 1, column 9)"),
+        # past the int-to-str limit: labels, and coordinates cut short
+        (pts, "1e5000 0\n0 0\n2e5000 0\n", ["count", str(pts)],
+         "labels (0, 1, 2): collinear points (1000000000000000... (5001 "
+         "characters), 0), (0, 0), (2000000000000000...",
+         "(5001 characters), 0)"),
+        (pts, "1/3 0\n0 0\n2 0\n", ["axioms", str(pts)],
+         "labels (0, 1, 2): collinear points (1/3, 0), (0, 0), (2, 0)", "")]
+    for path, text, argv, start, tail in cases:
+        if path is not None:
+            path.write_text(text)
+        assert run_cli(argv) == 1, argv[:2]
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: " + start), err[:80]
+        assert err.endswith(tail + "\n") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+
 def test_cli_count_poly_accepts_rooted_file(tmp_path, capsys):
     path = tmp_path / "chi2.chi"
     rc = meet(chi1(), convex(5))[0]
@@ -837,6 +878,26 @@ def test_import_leaves_numpy_out():
         capture_output=True, env=_env_with_src(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"False\n"
+
+
+def test_mpmath_loads_with_the_first_double_circle_command():
+    # the package and count leave mpmath out; dc-table and a double-circle
+    # name from the package bring it in
+    code = ("import sys, chirotri; from chirotri.cli import run_cli; "
+            "seen = ['mpmath' in sys.modules]; run_cli(['count', 'convex(7)']); "
+            "seen.append('mpmath' in sys.modules); "
+            "run_cli(['dc-table', '--kmax', '3']); "
+            "print(seen + ['mpmath' in sys.modules], file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=_env_with_src(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"42\n")
+    assert proc.stderr == b"[False, False, True]\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, chirotri; chirotri.QkTable; "
+         "print('mpmath' in sys.modules, chirotri.dc_count(5))"],
+        capture_output=True, env=_env_with_src(), timeout=60)
+    assert proc.stdout == b"True 250\n", proc.stderr
 
 
 def test_cli_closed_pipe_exits_quietly():
