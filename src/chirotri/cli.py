@@ -16,7 +16,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ChirotriError, OutOfRange, WriteFailed, clip
+from .errors import (ChirotriError, OutOfRange, WriteFailed, cannot_access,
+                     clip)
 from .expr import (Atom, EvalMode, eval_expr, load_chirotope, load_rooted,
                    parse_expr)
 from .oracle import DEFAULT_ORACLE_CAP, count_triangulations
@@ -72,7 +73,7 @@ def _cmd_poly(args) -> int:
         try:
             Path(args.out).write_text(out + "\n")
         except OSError as exc:
-            raise WriteFailed(f"cannot write {args.out}: {exc}") from exc
+            raise WriteFailed(cannot_access("write", args.out, exc)) from exc
     else:
         print(out)
     return 0

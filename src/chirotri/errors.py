@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and ``clip`` for echoing user
-text in their messages."""
+"""Exception types shared across the package, and ``clip`` and
+``cannot_access`` for echoing user text in their messages."""
 
 
 def clip(text: str, keep: int = 40, quote: bool = True) -> str:
@@ -8,6 +8,18 @@ def clip(text: str, keep: int = 40, quote: bool = True) -> str:
     head = text[:keep]
     shown = repr(head) if quote else head
     return shown if len(text) <= keep else f"{shown}... ({len(text)} characters)"
+
+
+def cannot_access(verb: str, path, exc: Exception) -> str:
+    """``cannot <verb> <path>: <reason>`` for a file that could not be read
+    or written. The path is written once, whole when short, else cut from the
+    left to its last ``keep`` characters so that the file name stays; the
+    reason is ``exc.strerror``, which unlike ``str(exc)`` does not repeat the
+    path, or the exception's class name when it has none."""
+    keep, path = 120, str(path)
+    shown = path if len(path) <= keep else "..." + path[-keep:]
+    reason = getattr(exc, "strerror", None) or type(exc).__name__
+    return f"cannot {verb} {shown}: {reason}"
 
 
 class ChirotriError(Exception):

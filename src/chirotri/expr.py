@@ -40,7 +40,7 @@ from . import compose
 from .chirotope import (Chirotope, RootedChirotope, chirotope_from_points,
                         read_chi)
 from .errors import (ExprSyntaxError, MalformedFile, NotARootedChirotope,
-                     OutOfRange, TooLarge, clip)
+                     OutOfRange, TooLarge, cannot_access, clip)
 from .geometry import PointSet
 from .oracle import DEFAULT_ORACLE_CAP, brute_P
 from .polynomials import chain_P, exact_str, join_P, meet_P, swap_vars
@@ -323,7 +323,7 @@ def load_chirotope(path: str) -> tuple[Chirotope, int | None]:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
+        raise MalformedFile(cannot_access("read", path, exc)) from exc
     if str(path).endswith(".pts"):
         return chirotope_from_points(PointSet.from_text(text)), None
     return read_chi(text)

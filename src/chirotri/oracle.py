@@ -1,20 +1,22 @@
 """Brute-force enumeration of triangulations and weak triangulations.
 
 Triangulations are the inclusion-maximal families of pairwise non-crossing
-segments; they are enumerated by deterministic backtracking over segments in
-lexicographic order against precomputed crossing bitmasks. Those are built
-from the side masks the chirotope stores, read as they are: for each
-segment, the segments at the points on its left and those at the points on
-its right, so the segments it splits are the ones in both, and two segments
-cross when each splits the other. A weak triangulation adds the phantom
-element opposite the root; its side masks follow from the root's, in
-extended copies of the stored rows, and no phantom sign table is built. A
+segments; they are found by deterministic backtracking over segments against
+precomputed crossing bitmasks, built from the side masks the chirotope
+stores. A weak triangulation adds the phantom element opposite the root; its
+side masks follow from the root's, in extended copies of the stored rows. A
 segment that crosses nothing is in every family and is chosen before the
 search starts. A segment may only be skipped if some chosen segment crosses
 it, so every maximal family is produced exactly once. A branch is abandoned
 as soon as a skipped segment has no crosser left that could still be
 chosen; such a branch yields nothing, so the output sequence is that of the
 unpruned search, order included.
+
+Listing (``enumerate_triangulations``, ``enumerate_weak``) searches the
+segments in lexicographic label order. Counting (``count_triangulations``,
+``brute_Q``, ``brute_P``) searches them in the order of a maximum
+cardinality search of the crossing graph, so its cost does not follow the
+labels; it tallies the same families.
 
 This module is the ground truth that every recursive counting formula in the
 package is tested against; it is deliberately simple and size-capped.
@@ -65,28 +67,23 @@ def _ground(obj, cap):
     for i, (a, b) in enumerate(segs):
         inc[a] |= 1 << i
         inc[b] |= 1 << i
-    # split[i]: the segments with one endpoint on each side of segment i.
-    # Undefined triples are in no mask, so root-side and phantom-side
-    # segments never cross.
-    split = []
-    for a, b in segs:
-        left = right = 0
-        for c in _bits(pos[a][b]):
-            left |= inc[c]
-        for c in _bits(pos[b][a]):
-            right |= inc[c]
-        split.append(left & right)
-    # two segments cross when each splits the other
-    masks = [0] * len(segs)
-    for i, cut in enumerate(split):
-        cut &= -2 << i  # the pairs (i, j) with j > i
-        while cut:
-            low = cut & -cut
-            cut ^= low
-            j = low.bit_length() - 1
-            if (split[j] >> i) & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    # lo[S & half] | hi[S >> h]: the segments at the points of the set S
+    h = n // 2
+    half, lo, hi = (1 << h) - 1, [0], [0]
+    for x in range(n):
+        table = lo if x < h else hi
+        table += [mask | inc[x] for mask in table]
+    # left[x]: the segments (c, d) with x on their left; those at c, d > c,
+    # start at index first[c], one less past (root, v)
+    first = [c * (2 * n - c - 1) // 2 - (0 <= r < c) for c in range(n)]
+    left = [sum(row[c] >> c + 1 << first[c] for c in range(n)) for row in pos]
+    # Two segments cross when each splits the other: (a, b) splits those at
+    # points on both of its sides and is split by those with exactly one of
+    # a, b on their left. Undefined triples are in no mask, so root-side and
+    # phantom-side segments never cross.
+    masks = [(lo[pos[a][b] & half] | hi[pos[a][b] >> h])
+             & (lo[pos[b][a] & half] | hi[pos[b][a] >> h])
+             & (left[a] ^ left[b]) for a, b in segs]
     return segs, masks, inc
 
 
@@ -140,6 +137,49 @@ def _iter_maximal(masks):
             yield chosen
 
 
+def _search_order(masks, *ends):
+    """``masks`` and ``ends`` relabeled into maximum cardinality search
+    order: next the segment with the most crossers already placed, ties to
+    more crossers, then to the lower index; uncrossed segments last. The
+    placed-crosser counts are bit-sliced, bit k of each in planes[k], so a
+    step takes a few mask operations; a crossing is read singly once, when
+    its later segment is placed, to set it in the relabeled masks."""
+    tiers = {}  # crosser count -> those segments
+    for i, cross in enumerate(masks):
+        tiers[cross.bit_count()] = tiers.get(cross.bit_count(), 0) | 1 << i
+    uncrossed = tiers.pop(0, 0)
+    tiers = [tiers[d] for d in sorted(tiers, reverse=True)]
+    free, where, out = sum(tiers), {}, []
+    planes = [0] * len(masks).bit_length()
+    while free:
+        best = free
+        for plane in reversed(planes):
+            best = best & plane or best
+        if best & (best - 1):
+            for tier in tiers:
+                if best & tier:
+                    best &= tier
+                    break
+        bit = best & -best
+        free ^= bit
+        p = where[bit] = len(out)
+        cross, row = masks[bit.bit_length() - 1], 0
+        done = cross & ~free
+        while done:
+            low = done & -done
+            done ^= low
+            row |= 1 << where[low]
+            out[where[low]] |= 1 << p
+        out.append(row)
+        carry, k = cross & free, 0
+        while carry:  # add one to the count of each free crosser
+            planes[k], carry, k = planes[k] ^ carry, planes[k] & carry, k + 1
+    for i in _bits(uncrossed):
+        where[1 << i] = len(out)
+        out.append(0)
+    return (out, *(sum(1 << where[1 << i] for i in _bits(e)) for e in ends))
+
+
 def _families(obj, cap):
     segs, masks, _ = _ground(obj, cap)
     for mask in _iter_maximal(masks):
@@ -157,7 +197,8 @@ def enumerate_weak(rc: RootedChirotope, cap: int | None = None):
 
 
 def count_triangulations(chi: Chirotope, cap: int | None = None) -> int:
-    return sum(1 for _ in _iter_maximal(_ground(chi, cap)[1]))
+    masks, = _search_order(_ground(chi, cap)[1])
+    return sum(1 for _ in _iter_maximal(masks))
 
 
 def _tally(masks, ends):
@@ -173,8 +214,9 @@ def _tally(masks, ends):
 def brute_Q(rc: RootedChirotope, cap: int | None = None) -> UnivarPoly:
     """Triangulation polynomial by root degree, from direct enumeration."""
     _, masks, inc = _ground(rc.chi, cap)
+    masks, root_mask = _search_order(masks, inc[rc.root])
     acc: dict[int, int] = {}
-    for key, count in _tally(masks, inc[rc.root]).items():
+    for key, count in _tally(masks, root_mask).items():
         d = key.bit_count()
         acc[d] = acc.get(d, 0) + count
     return UnivarPoly(acc)
@@ -184,7 +226,7 @@ def brute_P(rc: RootedChirotope, cap: int | None = None) -> BivarPoly:
     """Weak-triangulation polynomial by (root degree, phantom degree)."""
     _, masks, inc = _ground(rc, cap)
     n = rc.chi.n
-    root_mask, v_mask = inc[rc.root], inc[n]
+    masks, root_mask, v_mask = _search_order(masks, inc[rc.root], inc[n])
     # rows[root degree][phantom degree]; both degrees are below n
     rows = [[0] * n for _ in range(n)]
     for key, count in _tally(masks, root_mask | v_mask).items():

@@ -12,7 +12,8 @@ import struct
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import GeneralPositionViolation, MalformedFile, OutOfRange
+from .errors import (GeneralPositionViolation, MalformedFile, OutOfRange,
+                     cannot_access)
 from .geometry import PointSet, det
 
 
@@ -89,7 +90,7 @@ def read_order_types(path, n: int, width: int | None = None,
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
+        raise MalformedFile(cannot_access("read", path, exc)) from exc
     skipped: list[int] = []
     records = list(iter_order_types(data, n, width, lenient, skipped))
     return records, skipped

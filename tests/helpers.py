@@ -7,10 +7,12 @@ from math import comb
 
 import mpmath as mp
 
-from chirotri import (Chirotope, InternalInvariantViolation, OutOfRange,
-                      PointSet, QkTable, RootedChirotope, UnivarPoly,
-                      chirotope_from_points, df_series, f_series, kernel)
+from chirotri import (BivarPoly, Chirotope, InternalInvariantViolation,
+                      OutOfRange, PointSet, QkTable, RootedChirotope,
+                      UnivarPoly, chirotope_from_points, df_series, f_series,
+                      kernel)
 from chirotri.doublecircle import DEFAULT_DPS, _rows
+from chirotri.oracle import _ground, _iter_maximal
 from chirotri.polynomials import _n_poly_terms
 
 
@@ -160,6 +162,39 @@ def iter_maximal_unpruned(masks):
         if masks[i] & suffix[i + 1] & ~dom:
             stack.append((i + 1, dom, pend | bit, chosen))
         stack.append((i + 1, dom | masks[i], pend & ~masks[i], chosen | bit))
+
+
+def search_order_spec(masks):
+    """Spec for the order of ``oracle._search_order``: maximum cardinality
+    search written out. Each step takes, among the unplaced segments, the one
+    with the most crossers already placed, ties to more crossers, then to
+    the lower index. Returns the segment indices in that order."""
+    order, placed, left = [], 0, set(range(len(masks)))
+    while left:
+        i = max(left, key=lambda i: ((masks[i] & placed).bit_count(),
+                                     masks[i].bit_count(), -i))
+        order.append(i)
+        left.remove(i)
+        placed |= 1 << i
+    return order
+
+
+def lexicographic_tallies(rc):
+    """Spec for ``oracle.brute_P``, ``brute_Q`` and ``count_triangulations``:
+    (P, Q, triangulation count) of ``rc``, each tallied over the masks of
+    ``oracle._ground`` as they are, so searched in label order."""
+    _, masks, inc = _ground(rc, None)
+    p = {}
+    for leaf in _iter_maximal(masks):
+        key = ((leaf & inc[rc.root]).bit_count(),
+               (leaf & inc[rc.chi.n]).bit_count())
+        p[key] = p.get(key, 0) + 1
+    _, masks, inc = _ground(rc.chi, None)
+    q = {}
+    for leaf in _iter_maximal(masks):
+        d = (leaf & inc[rc.root]).bit_count()
+        q[d] = q.get(d, 0) + 1
+    return BivarPoly(p), UnivarPoly(q), sum(q.values())
 
 
 def small_roots_bisection(x, dps):

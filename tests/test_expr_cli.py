@@ -943,6 +943,23 @@ def test_cli_poly_unwritable_out_is_a_domain_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_cli_long_paths_print_one_short_error_line(tmp_path, capsys):
+    # the OSError text repeats the path; the message writes it once, cut
+    # from the left so that the file name stays
+    name = "x" * 5990 + "-tail.chi"
+    for argv in (["count", str(tmp_path / name)],
+                 ["count", f'load("{tmp_path / name}", 0)'],
+                 ["search", "--db", str(tmp_path / name), "--n", "8"],
+                 ["poly", "triangle", "--out", str(tmp_path / name)]):
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot ")
+        assert captured.err.count("\n") == 1
+        assert len(captured.err.encode()) <= 200
+        assert "x-tail.chi: " in captured.err
+
+
 def test_deep_chain_hashes_without_recursion():
     node = Atom("triangle")
     for _ in range(5000):

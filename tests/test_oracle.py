@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chirotri import (BivarPoly, OracleTooLarge, RootedChirotope, UnivarPoly,
-                      brute_P, brute_Q, chi1, chi_k,
+from chirotri import (BivarPoly, Chirotope, OracleTooLarge, RootedChirotope,
+                      UnivarPoly, brute_P, brute_Q, chi1, chi_k,
                       chirotope_from_points, convex, convex_hull_labels,
-                      double_circle, enumerate_triangulations, enumerate_weak,
-                      q_from_p, segments_cross)
-from chirotri.oracle import _ground, _iter_maximal
+                      count_triangulations, double_circle,
+                      enumerate_triangulations, enumerate_weak, q_from_p,
+                      segments_cross)
+from chirotri.oracle import _ground, _iter_maximal, _search_order
 
 from helpers import (catalan, crossing_masks_pairwise, iter_maximal_unpruned,
-                     random_point_set, random_rooted, with_flips)
+                     lexicographic_tallies, random_point_set, random_rooted,
+                     search_order_spec, with_flips)
 
 
 def test_enumerate_counts():
@@ -234,3 +236,62 @@ def test_enumeration_sequences_are_pinned():
     for rc, tris, weaks in pinned:
         assert _digest(list(enumerate_triangulations(rc.chi))) == tris
         assert _digest(list(enumerate_weak(rc))) == weaks
+
+
+def _relabeled(chi, rng):
+    """``chi`` with its labels permuted at random, and the permutation."""
+    perm = list(range(chi.n))
+    rng.shuffle(perm)
+    inverse = [0] * chi.n
+    for old, new in enumerate(perm):
+        inverse[new] = old
+    signs = (chi.sign(inverse[a], inverse[b], inverse[c])
+             for a, b, c in combinations(range(chi.n), 3))
+    return Chirotope(chi.n, signs), perm
+
+
+def test_counts_in_search_order_equal_the_label_order_spec():
+    rng = random.Random(241)
+    for n in [*range(4, 11)] * 2:
+        chi = chirotope_from_points(random_point_set(n, rng))
+        shuffled, perm = _relabeled(chi, rng)
+        for root in sorted(chi.extreme_elements()):
+            want = lexicographic_tallies(RootedChirotope(chi, root))
+            for c, r in ((chi, root), (shuffled, perm[root])):
+                rc = RootedChirotope(c, r)
+                assert lexicographic_tallies(rc) == want
+                assert brute_P(rc) == want[0]
+                assert brute_Q(rc) == want[1]
+                assert count_triangulations(c) == want[2]
+
+
+def _check_search_order(masks):
+    m = len(masks)
+    got = _search_order(masks, *(1 << i for i in range(m)))
+    out, image = got[0], got[1:]
+    # each segment goes to one new index, and no two to the same one
+    assert all(bit.bit_count() == 1 for bit in image)
+    assert sum(image) == (1 << m) - 1
+    where = [bit.bit_length() - 1 for bit in image]
+    assert sorted(range(m), key=where.__getitem__) == search_order_spec(masks)
+    for i, cross in enumerate(masks):
+        assert out[where[i]] == sum(1 << where[j] for j in range(m)
+                                    if cross >> j & 1)
+    # the relabeled crossing graph is symmetric, without loops
+    for p, row in enumerate(out):
+        assert not row >> p & 1
+        assert all(out[q] >> p & 1 for q in range(m) if row >> q & 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs())
+def test_search_order_is_a_permutation_of_the_spec_order(masks):
+    _check_search_order(masks)
+
+
+def test_search_order_of_oracle_grounds():
+    rng = random.Random(243)
+    for n in range(4, 11):
+        rc = random_rooted(n, rng)
+        _check_search_order(_ground(rc, None)[1])
+        _check_search_order(_ground(rc.chi, None)[1])
