@@ -614,6 +614,60 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+_COMMANDS = ("axioms", "count", "poly", "dc-table", "kernel-report", "search")
+_SEARCH = ["search", "--db", "db.bin", "--n", "4", "--width", "8",
+           "--levels", "4"]
+
+# argv lists whose exit codes, stdout and stderr make the CLI's surface: a
+# valid call of each command, help, abbreviations and usage errors
+_USAGE_CASES = [
+    ["axioms", "tri.pts"],
+    ["count", "convex(7)"],
+    ["count", "--drop-root", "--method", "brute", "convex(6)"],
+    ["count", "--method", "poly", "chik(3)"],
+    ["poly", "chik(2)", "--which", "Q"],
+    ["dc-table", "--kmax", "5", "--format", "json"],
+    ["kernel-report", "--x", "1/20", "--terms", "10"],
+    [*_SEARCH, "--top", "2"],
+    [], ["-h"], ["--help"], ["--he"],
+    ["-h", "count"], ["count", "-h"], ["axioms", "tri.pts", "-h"],
+    *([cmd, "--help"] for cmd in _COMMANDS),
+    ["--prec", "20", "count", "convex(5)"],
+    ["count", "--meth", "poly", "convex(6)"],
+    ["--oracle-cap=5", "count", "convex(5)"],
+    ["--", "count", "x"], ["bogus"], ["--precision", "20"],
+    ["--bogus", "count", "convex(5)"], ["count", "convex(5)", "--bogus"],
+    ["--precision", "x", "count", "convex(5)"], ["dc-table", "--kmax", "x"],
+    ["count", "convex(5)", "--method", "fast"], [*_SEARCH, "--width", "12"],
+    ["dc-table"], ["kernel-report"], ["count"], ["search", "--db", "db.bin"],
+    ["count", "convex(5)", "extra"],
+    ["--precision", "0", "count", "convex(5)"],
+    [*_SEARCH, "--top", "-1"],
+]
+
+# sha256 over json [argv, exit code, stdout, stderr] of each case at
+# COLUMNS=80. argparse's wording and its handling of "--" change between
+# Python releases, so the digest holds on the releases it was computed on
+_USAGE_DIGEST = "be44db49574335630cbd835db074481a4f4823dba09a43cc267435220b1be259"
+_USAGE_PINNED_ON = ("3.10.13", "3.11.7", "3.12.1", "3.13.0")
+
+
+def test_cli_usage_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    monkeypatch.chdir(tmp_path)
+    Path("tri.pts").write_text("0 0\n4 0\n0 4\n1 1\n")
+    Path("db.bin").write_bytes(_pack8([((0, 0), (40, 3), (23, 30), (17, 12))]))
+    digest = hashlib.sha256()
+    for argv in _USAGE_CASES:
+        code = run_cli(argv)
+        digest.update(json.dumps([argv, code, *capsys.readouterr()]).encode())
+    version = ".".join(map(str, sys.version_info[:3]))
+    if version not in _USAGE_PINNED_ON:
+        pytest.skip(f"usage bytes not pinned on Python {version}; "
+                    f"here they hash to {digest.hexdigest()}")
+    assert digest.hexdigest() == _USAGE_DIGEST
+
+
 def test_cli_generator_argument_out_of_range(capsys):
     # both evaluation modes reject what the generator rejects
     for src in ("chik(0)", "convex(2)", "convex(0)"):
