@@ -169,6 +169,27 @@ def _cmd_search(args) -> int:
     return 0
 
 
+class _BuiltOnDispatch:
+    """A command's parser: it keeps the calls that describe it and replays
+    them on a real parser in ``parse_known_args``, which argparse calls
+    only on the command it dispatches to."""
+
+    def __init__(self, **kwargs):
+        self._kwargs, self._calls = kwargs, []
+
+    def add_argument(self, *args, **kwargs):
+        self._calls.append(("add_argument", args, kwargs))
+
+    def set_defaults(self, **kwargs):
+        self._calls.append(("set_defaults", (), kwargs))
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self._kwargs)
+        for name, call_args, call_kwargs in self._calls:
+            getattr(parser, name)(*call_args, **call_kwargs)
+        return parser.parse_known_args(args, namespace)
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="chirotri",
@@ -177,7 +198,8 @@ def _parser() -> argparse.ArgumentParser:
                     help="significant digits for numeric analytics")
     ap.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
                     help="element cap for brute-force enumeration")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_BuiltOnDispatch)
 
     p = sub.add_parser("axioms", help="axiom scan of a .chi or .pts file")
     p.add_argument("file")
@@ -220,6 +242,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
+    """Run one command line; ``argv=None`` reads ``sys.argv[1:]``.
+
+    Returns 0 on success or help, 1 on a domain error (one ``error:`` line
+    on stderr) and 2 on a usage error (usage text on stderr). Only the
+    parser of the command that runs is built.
+    """
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -1,5 +1,6 @@
 """Expression language, order-type ingestion, search harness, CLI surface."""
 
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -666,6 +667,24 @@ def test_cli_usage_bytes(tmp_path, monkeypatch, capsys):
         pytest.skip(f"usage bytes not pinned on Python {version}; "
                     f"here they hash to {digest.hexdigest()}")
     assert digest.hexdigest() == _USAGE_DIGEST
+
+
+def test_cli_builds_only_the_parser_of_the_command_it_runs(monkeypatch):
+    built = []
+
+    def spy(self, *args, _real=argparse.ArgumentParser.__init__, **kwargs):
+        built.append(kwargs.get("prog"))
+        _real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for argv, code, progs in (
+            (["count", "convex(7)"], 0, ["chirotri", "chirotri count"]),
+            (["count", "--help"], 0, ["chirotri", "chirotri count"]),
+            (["--help"], 0, ["chirotri"]),
+            (["bogus"], 2, ["chirotri"])):
+        built.clear()
+        assert run_cli(argv) == code
+        assert built == progs, argv
 
 
 def test_cli_generator_argument_out_of_range(capsys):
