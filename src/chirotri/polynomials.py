@@ -27,6 +27,14 @@ diagonal, and the product of the two v-parts (u-parts for a meet) is a
 square, which ``UnivarPoly`` computes as one big-integer square (Kronecker
 substitution).
 
+A weak count needs only totals. The coefficients of N(d1, d2) sum to the
+number of lattice paths C(d1+d2-2, d1-1), so the count of a merge is the
+binomial form of the operands' totals per root degree (``binomial_form``,
+one running sum per degree and no rows), and the totals of a self-merge
+per exponent of the other variable are the same form over its packed rows,
+one integer unpacked once (``self_merge_totals``). The search pipeline
+reads its last level from the level two below it that way.
+
 A generator chain, ``chik(k)`` or ``convex(n)``, joins k copies of one leaf
 that factors, and ``chain_P`` evaluates it as one row recurrence: k - 1
 steps of ``_merge_core`` on the leaf's u-row and one power of its v-part,
@@ -569,6 +577,28 @@ def _merge_self(a: list) -> list:
     return acc + [0] * (size - len(acc))
 
 
+def binomial_form(a: list, b: list) -> int:
+    """sum over (d1, d2) of C(d1+d2-2, d1-1) * a[d1] * b[d2], which is
+    ``sum(_merge_core(a, b))``: the coefficients of N(d1, d2) count the
+    monotone lattice paths across a (d1-1) x (d2-1) grid, C(d1+d2-2, d1-1)
+    in all. Entries below degree 2 must be zero.
+
+    With i = d1 - 1 and j = d2 - 1, the sum over j of C(i+j, i) b[j+1] is
+    the first entry of the (i+1)-fold suffix sum of b, so the form takes
+    one running sum over b per degree of a and one product per live entry
+    of a.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    s = b[:0:-1]  # b[d2] for d2 = top down to 1
+    total = 0
+    for c in a[1:]:  # d1 = 1, 2, ...
+        s = list(accumulate(s))
+        if c:
+            total += c * s[-1]
+    return total
+
+
 def join_Q(q1: UnivarPoly, q2: UnivarPoly) -> UnivarPoly:
     """Triangulation polynomial of a join from the operand polynomials."""
     for q in (q1, q2):
@@ -641,13 +671,7 @@ def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
                                        (vp1 * vp2).shift(-1))
     rows1, rows2 = p1._grid(), p2._grid()
     slots = len(rows1[0]) + len(rows2[0]) - 1
-    # every result coefficient is at most C(D1+D2-2, D1-1) * S1 * S2 in
-    # absolute value, with S the sum of absolute operand coefficients
-    top1 = p1._u0 + len(rows1) - 1
-    top2 = p2._u0 + len(rows2) - 1
-    bound = (comb(top1 + top2 - 2, top1 - 1) * sum(map(abs, chain(*rows1)))
-             * sum(map(abs, chain(*rows2))))
-    k = -(-(bound.bit_length() + 1) // 8) * 8
+    k = _slot_bits(p1, p2)
     packed = _pack(rows1, p1._u0, k)
     merged = _merge_core(packed,
                          packed if p2 is p1 else _pack(rows2, p2._u0, k))
@@ -662,6 +686,21 @@ def join_P(p1: BivarPoly, p2: BivarPoly) -> BivarPoly:
                 "not weak-triangulation polynomials")
         rows, v0 = [row[1:] for row in rows], 0
     return BivarPoly.from_rows(rows, 0, v0)
+
+
+def _slot_bits(p1: BivarPoly, p2: BivarPoly) -> int:
+    """Bits per packed slot for a weak merge of p1 and p2: a multiple of 8
+    that holds, with its sign, every coefficient of the merge and every sum
+    of its coefficients over the u-exponents."""
+    rows1, rows2 = p1._grid(), p2._grid()
+    # each such number is at most C(D1+D2-2, D1-1) * S1 * S2 in absolute
+    # value, with S the sum of absolute operand coefficients: the total of
+    # N(d1, d2)'s coefficients, C(d1+d2-2, d1-1), grows with d1 and d2
+    top1 = p1._u0 + len(rows1) - 1
+    top2 = p2._u0 + len(rows2) - 1
+    bound = (comb(top1 + top2 - 2, top1 - 1) * sum(map(abs, chain(*rows1)))
+             * sum(map(abs, chain(*rows2))))
+    return -(-(bound.bit_length() + 1) // 8) * 8
 
 
 def chain_P(p: BivarPoly, links: int) -> BivarPoly:
@@ -739,10 +778,11 @@ def count_weak_join(p1: BivarPoly, p2: BivarPoly, kind: str = "join") -> int:
     """Total weak-triangulation count of a join or meet, by marginals only.
 
     Equals the full merged polynomial evaluated at (1, 1) but never builds
-    it: only the per-root-degree totals of each operand are needed, the
-    row sums for a join and the column sums for a meet, where the roles of
-    the variables are swapped. When both operands are the same object, its
-    totals are taken once.
+    it: N(d1, d2)(1) = C(d1+d2-2, d1-1), so the count is ``binomial_form``
+    of the per-root-degree totals of the operands, the row sums for a join
+    and the column sums for a meet, where the roles of the variables are
+    swapped. When both operands are the same object, its totals are taken
+    once.
     """
     if kind not in ("join", "meet"):
         raise OutOfRange(f"kind must be 'join' or 'meet', got {kind!r}")
@@ -754,10 +794,35 @@ def count_weak_join(p1: BivarPoly, p2: BivarPoly, kind: str = "join") -> int:
     if low < 2:
         raise OutOfRange(f"operand polynomials need minimum "
                          f"{'v' if by_v else 'u'}-exponent >= 2")
-    # the full merge at (1, 1) sums a[d1] b[d2] N(d1, d2)(1), and _merge_core
-    # of the totals spreads that same sum over the root degrees
     a = _totals(p1, by_v)
-    return sum(_merge_core(a, a if p2 is p1 else _totals(p2, by_v)))
+    return binomial_form(a, a if p2 is p1 else _totals(p2, by_v))
+
+
+def self_merge_totals(p: BivarPoly, kind: str) -> list:
+    """Coefficient sums of the join (or meet) of p with itself over its root
+    degree, per exponent of the other variable, in a list indexed by
+    exponent from 0: the totals that ``count_weak_join`` reads of that merge
+    when it is merged by the other kind. The merge itself is never built.
+
+    A join's rows, packed at v = 2^k as ``join_P`` packs them, are summed
+    over the root degrees by one ``binomial_form`` into one integer, which
+    is unpacked once; a meet packs the columns. Both exponents of p must be
+    at least 2: the merge needs it of the root degree, and the next merge
+    of the other one, whose lowest exponent doubles less one.
+    """
+    if kind not in ("join", "meet"):
+        raise OutOfRange(f"kind must be 'join' or 'meet', got {kind!r}")
+    if p.is_zero():
+        raise EmptyInput("zero operand polynomial")
+    if p.min_u_exp() < 2 or p.min_v_exp() < 2:
+        raise OutOfRange("operand polynomials need minimum u- and "
+                         "v-exponents >= 2")
+    q = p if kind == "join" else swap_vars(p)
+    rows = q._grid()
+    k = _slot_bits(q, q)
+    packed = _pack(rows, q._u0, k)
+    total = _unpacker(k, 2 * len(rows[0]) - 1)(binomial_form(packed, packed))
+    return [0] * (2 * q._v0 - 1) + list(total)
 
 
 def try_split(p: BivarPoly):

@@ -9,11 +9,11 @@ import mpmath as mp
 
 from chirotri import (BivarPoly, Chirotope, InternalInvariantViolation,
                       OutOfRange, PointSet, QkTable, RootedChirotope,
-                      UnivarPoly, chirotope_from_points, df_series, f_series,
-                      kernel)
+                      UnivarPoly, brute_P, chirotope_from_points, df_series,
+                      f_series, join_P, kernel, meet_P, q_from_p)
 from chirotri.doublecircle import DEFAULT_DPS, _rows
 from chirotri.oracle import _ground, _iter_maximal
-from chirotri.polynomials import _n_poly_terms
+from chirotri.polynomials import _merge_core, _n_poly_terms
 
 
 def catalan(n: int) -> int:
@@ -324,6 +324,26 @@ def n_poly(d1: int, d2: int) -> UnivarPoly:
     remaining root neighbors across the merge.
     """
     return UnivarPoly(dict(_n_poly_terms(d1, d2)))
+
+
+def seed_score_unfolded(rc, levels, metric="weak", cap=None) -> int:
+    """Spec for ``search.seed_score``: every level from the seed built in
+    full with ``join_P`` (odd levels) and ``meet_P`` (even levels). The weak
+    count of the last level is ``_merge_core`` of the level before it,
+    summed: its row sums feed a join, its column sums a meet. The count
+    metric builds the last level too and reads its triangulation slice."""
+    p = brute_P(rc, cap=cap)
+    last = levels if metric == "count" else levels - 1
+    for level in range(4, last + 1):
+        p = join_P(p, p) if level % 2 else meet_P(p, p)
+    if metric == "count":
+        return q_from_p(p)(1)
+    sums = {}
+    for (a, b), c in p.terms():
+        d = a if levels % 2 else b  # the root degree of the last merge
+        sums[d] = sums.get(d, 0) + c
+    totals = [sums.get(d, 0) for d in range(max(sums) + 1)]
+    return sum(_merge_core(totals, totals))
 
 
 def _divide_by_u_minus_1(coeffs: list) -> tuple[list, int]:

@@ -34,7 +34,8 @@ from chirotri.cli import run_cli
 from chirotri.expr import Atom, Flip, Join, Meet, Twist
 from chirotri.oracle import brute_P
 
-from helpers import catalan, random_point_set
+from helpers import (catalan, random_point_set, random_rooted,
+                     seed_score_unfolded)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -401,6 +402,20 @@ def test_seed_score_count_metric_matches_oracle():
     # weak metric equals the merged polynomial total
     assert seed_score(seed, levels=4, metric="weak") == \
         meet_P(brute_P(seed), brute_P(seed))(1, 1)
+
+
+def test_seed_score_equals_the_unfolded_pipeline():
+    # levels 7 and 8 build polynomials of hundreds of terms on the unfolded
+    # route, so they run on the small seeds only; a count at level 8 builds
+    # the level-8 polynomial on both routes (about 1 s from 6 points)
+    rng = random.Random(397)
+    for n in (5, 5, 6, 6, 7, 8, 9):
+        rc = random_rooted(n, rng)
+        for levels in range(4, 9 if n <= 6 else 7):
+            metrics = ("weak", "count") if levels < 8 or n == 5 else ("weak",)
+            for metric in metrics:
+                assert seed_score(rc, levels, metric) == \
+                    seed_score_unfolded(rc, levels, metric)
 
 
 def test_seed_score_default_cap_is_the_oracle_cap():

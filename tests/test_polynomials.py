@@ -16,7 +16,8 @@ from chirotri import (BivarPoly, EmptyInput, InternalInvariantViolation,
                       enumerate_weak, join, join_P, join_Q, meet, meet_P,
                       q_from_p, swap_vars, try_split, twist)
 from chirotri import polynomials
-from chirotri.polynomials import exact_str
+from chirotri.polynomials import (_merge_core, binomial_form, exact_str,
+                                  self_merge_totals)
 
 from helpers import BivarSpec, UnivarSpec, n_poly, random_rooted
 
@@ -162,6 +163,47 @@ def test_count_weak_join():
         assert count_weak_join(p1, p2, kind) == full(1, 1)
     with pytest.raises(OutOfRange):
         count_weak_join(B({(2, 2): 1}), B({(2, 2): 1}), "bogus")
+
+
+def test_binomial_form_is_the_total_of_n_poly():
+    for d1 in range(2, 31):
+        for d2 in range(2, 31):
+            a, b = [0] * d1 + [1], [0] * d2 + [1]
+            assert binomial_form(a, b) == n_poly(d1, d2)(1) == \
+                comb(d1 + d2 - 2, d1 - 1)
+    rng = random.Random(149)
+    for _ in range(300):
+        a = [0, 0] + [rng.randint(-50, 50) for _ in range(rng.randint(0, 12))]
+        b = a if rng.random() < 0.3 else \
+            [0, 0] + [rng.randint(-50, 50) for _ in range(rng.randint(0, 12))]
+        assert binomial_form(a, b) == binomial_form(b, a) == \
+            sum(_merge_core(a, b))
+
+
+def test_self_merge_totals_are_the_merge_totals():
+    rng = random.Random(151)
+    ps = [brute_P(random_rooted(n, rng)) for n in (4, 5, 6, 7, 8)]
+    ps += [meet_P(ps[2], ps[2]), join_P(ps[3], ps[3]),
+           chain_P(brute_P(chi1()), 4),
+           B({(2, 2): -3, (2, 5): 7, (4, 3): 1, (6, 2): -2})]
+    for p in ps:
+        for kind in ("join", "meet"):
+            merged = join_P(p, p) if kind == "join" else meet_P(p, p)
+            want = {}
+            for (a, b), c in merged.terms():
+                e = b if kind == "join" else a
+                want[e] = want.get(e, 0) + c
+            got = self_merge_totals(p, kind)
+            assert got == [want.get(e, 0) for e in range(len(got))]
+            assert got[-1] and len(got) == max(want) + 1
+    with pytest.raises(OutOfRange):
+        self_merge_totals(ps[0], "bogus")
+    with pytest.raises(EmptyInput):
+        self_merge_totals(B({}), "join")
+    for low in ({(1, 2): 1, (2, 2): 1}, {(2, 1): 1, (2, 2): 1}):
+        for kind in ("join", "meet"):
+            with pytest.raises(OutOfRange):
+                self_merge_totals(B(low), kind)
 
 
 def test_count_weak_join_same_operand_once(monkeypatch):
