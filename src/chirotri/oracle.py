@@ -15,10 +15,8 @@ unpruned search, order included.
 Listing (``enumerate_triangulations``, ``enumerate_weak``) searches the
 segments in lexicographic label order. Counting (``count_triangulations``,
 ``brute_Q``, ``brute_P``) searches them in the order of a maximum
-cardinality search of the crossing graph once there are at least
-``ORDER_MIN_SEGMENTS`` segments, so its cost does not follow the labels;
-below that the search is too short to repay the relabeling, and it keeps
-label order. Either order tallies the same families.
+cardinality search of the crossing graph, so its cost does not follow the
+labels; it tallies the same families.
 
 This module is the ground truth that every recursive counting formula in the
 package is tested against; it is deliberately simple and size-capped.
@@ -33,16 +31,6 @@ from .errors import OracleTooLarge
 from .polynomials import BivarPoly, UnivarPoly, exact_str
 
 DEFAULT_ORACLE_CAP = 12
-# Counting relabels the crossing graph only from this many segments on. At 27
-# and 28 segments (7 points and a root, 8 points) the relabeled count took
-# 1.07-1.49x as long as label order under sorted, radial and random labels.
-# At 35 and 36 it is a trade: 0.72-0.75x on random labels, 1.03-1.17x on
-# sorted ones and 0.93-1.00x on radial ones, whose label order is already
-# close to a sweep (as the first call of a process: 0.81-0.82x and
-# 1.08-1.19x); label order is kept there, since two labelings of three gain
-# little or nothing. From 44 segments on, radially built merges take 0.75x
-# and random labels 0.62-0.65x (README, oracle order).
-ORDER_MIN_SEGMENTS = 40
 
 
 def _ground(obj, cap):
@@ -152,7 +140,7 @@ def _iter_maximal(masks):
 def _search_order(masks, *ends):
     """``masks`` and ``ends`` relabeled into maximum cardinality search
     order: next the segment with the most crossers already placed, ties to
-    more crossers, then to the lower index; uncrossed segments last. The
+    fewer crossers, then to the lower index; uncrossed segments last. The
     placed-crosser counts are bit-sliced, bit k of each in planes[k], so a
     step takes a few mask operations; a crossing is read singly once, when
     its later segment is placed, to set it in the relabeled masks."""
@@ -160,7 +148,7 @@ def _search_order(masks, *ends):
     for i, cross in enumerate(masks):
         tiers[cross.bit_count()] = tiers.get(cross.bit_count(), 0) | 1 << i
     uncrossed = tiers.pop(0, 0)
-    tiers = [tiers[d] for d in sorted(tiers, reverse=True)]
+    tiers = [tiers[d] for d in sorted(tiers)]
     free, where, out = sum(tiers), {}, []
     planes = [0] * len(masks).bit_length()
     while free:
@@ -192,15 +180,6 @@ def _search_order(masks, *ends):
     return (out, *(sum(1 << where[1 << i] for i in _bits(e)) for e in ends))
 
 
-def _counting_order(masks, *ends):
-    """``masks`` and ``ends`` in the order a count searches them: the
-    maximum cardinality search order from ``ORDER_MIN_SEGMENTS`` segments
-    on, label order below."""
-    if len(masks) < ORDER_MIN_SEGMENTS:
-        return (masks, *ends)
-    return _search_order(masks, *ends)
-
-
 def _families(obj, cap):
     segs, masks, _ = _ground(obj, cap)
     for mask in _iter_maximal(masks):
@@ -218,7 +197,7 @@ def enumerate_weak(rc: RootedChirotope, cap: int | None = None):
 
 
 def count_triangulations(chi: Chirotope, cap: int | None = None) -> int:
-    masks, = _counting_order(_ground(chi, cap)[1])
+    masks, = _search_order(_ground(chi, cap)[1])
     return sum(1 for _ in _iter_maximal(masks))
 
 
@@ -235,7 +214,7 @@ def _tally(masks, ends):
 def brute_Q(rc: RootedChirotope, cap: int | None = None) -> UnivarPoly:
     """Triangulation polynomial by root degree, from direct enumeration."""
     _, masks, inc = _ground(rc.chi, cap)
-    masks, root_mask = _counting_order(masks, inc[rc.root])
+    masks, root_mask = _search_order(masks, inc[rc.root])
     acc: dict[int, int] = {}
     for key, count in _tally(masks, root_mask).items():
         d = key.bit_count()
@@ -247,7 +226,7 @@ def brute_P(rc: RootedChirotope, cap: int | None = None) -> BivarPoly:
     """Weak-triangulation polynomial by (root degree, phantom degree)."""
     _, masks, inc = _ground(rc, cap)
     n = rc.chi.n
-    masks, root_mask, v_mask = _counting_order(masks, inc[rc.root], inc[n])
+    masks, root_mask, v_mask = _search_order(masks, inc[rc.root], inc[n])
     # rows[root degree][phantom degree]; both degrees are below n
     rows = [[0] * n for _ in range(n)]
     for key, count in _tally(masks, root_mask | v_mask).items():

@@ -44,6 +44,7 @@ def check_pipeline(levels: int, metric: str) -> None:
 
 
 def _kind(level: int) -> str:
+    """The merge that builds a level: a join at odd levels, a meet at even."""
     return "join" if level % 2 == 1 else "meet"
 
 
@@ -61,7 +62,7 @@ def seed_score(rc: RootedChirotope, levels: int, metric: str = "weak",
     p = brute_P(rc, cap=cap)
     built = levels if metric == "count" else levels - 2
     for level in range(SEED_LEVEL + 1, built + 1):
-        p = join_P(p, p) if level % 2 == 1 else meet_P(p, p)
+        p = join_P(p, p) if _kind(level) == "join" else meet_P(p, p)
     if metric == "count":
         return q_from_p(p)(1)
     if built < SEED_LEVEL:  # levels == 4: the seed is the level before

@@ -167,12 +167,14 @@ def iter_maximal_unpruned(masks):
 def search_order_spec(masks):
     """Spec for the order of ``oracle._search_order``: maximum cardinality
     search written out. Each step takes, among the unplaced segments, the one
-    with the most crossers already placed, ties to more crossers, then to
-    the lower index. Returns the segment indices in that order."""
+    with the most crossers already placed, ties to fewer crossers, then to
+    the lower index; segments without crossers come last. Returns the
+    segment indices in that order."""
     order, placed, left = [], 0, set(range(len(masks)))
     while left:
         i = max(left, key=lambda i: ((masks[i] & placed).bit_count(),
-                                     masks[i].bit_count(), -i))
+                                     masks[i] != 0, -masks[i].bit_count(),
+                                     -i))
         order.append(i)
         left.remove(i)
         placed |= 1 << i

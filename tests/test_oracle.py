@@ -14,7 +14,6 @@ from chirotri import (BivarPoly, Chirotope, OracleTooLarge, RootedChirotope,
                       count_triangulations, double_circle,
                       enumerate_triangulations, enumerate_weak, q_from_p,
                       segments_cross)
-from chirotri import oracle
 from chirotri.oracle import _ground, _iter_maximal, _search_order
 
 from helpers import (catalan, crossing_masks_pairwise, iter_maximal_unpruned,
@@ -264,35 +263,6 @@ def test_counts_in_search_order_equal_the_label_order_spec():
                 assert brute_P(rc) == want[0]
                 assert brute_Q(rc) == want[1]
                 assert count_triangulations(c) == want[2]
-
-
-def test_counts_on_both_sides_of_the_order_threshold(monkeypatch):
-    # 5-10 points: 20-54 segments with a root and its phantom, 10-45
-    # without, so the default threshold splits both kinds of ground
-    rng = random.Random(245)
-    relabeled = []
-    real = oracle._search_order
-
-    def spy(masks, *ends):
-        relabeled.append(len(masks))
-        return real(masks, *ends)
-
-    monkeypatch.setattr(oracle, "_search_order", spy)
-    default, rooted, plain = oracle.ORDER_MIN_SEGMENTS, set(), set()
-    for n in [*range(5, 11)] * 2:
-        rc = random_rooted(n, rng)
-        want = lexicographic_tallies(rc)
-        grounds = [len(_ground(obj, None)[1]) for obj in (rc, rc.chi, rc.chi)]
-        rooted.add(grounds[0])
-        plain.add(grounds[1])
-        for threshold in (default, 0, 10 ** 9):
-            monkeypatch.setattr(oracle, "ORDER_MIN_SEGMENTS", threshold)
-            relabeled.clear()
-            assert (brute_P(rc), brute_Q(rc), count_triangulations(rc.chi)) \
-                == want
-            assert relabeled == [m for m in grounds if m >= threshold]
-    for sizes in (rooted, plain):
-        assert min(sizes) < default <= max(sizes)
 
 
 def _check_search_order(masks):
