@@ -2,11 +2,14 @@
 
 The chirotopes obtained by repeatedly joining the one-interior-point
 configuration onto itself carry triangulation polynomials Q_1, Q_2, ... whose
-recursion only involves the recombination polynomials N(d, 3). The number of
-triangulations of the double circle with k outer points is
-Q_{k-1}(1) - [u^2] Q_{k-1}. ``QkTable`` holds one row at a time and keeps
-three lists: each row's value at u = 1, u^2 coefficient and derivative at
-u = 1.
+recursion only involves the recombination polynomials N(d, 3): Q_1 = u^3 and
+Q_{k+1} = join_Q(Q_k, u^3), a chain in the sense of Rutschmann & Wettstein
+(J. ACM 2023). The number of triangulations of the double circle with k
+outer points is Q_{k-1}(1) - [u^2] Q_{k-1}. ``QkTable`` steps the chain on
+``polynomials._merge_core``, the one merge of every join, holds one row at a
+time and keeps three lists: each row's value at u = 1, u^2 coefficient and
+derivative at u = 1, where the value and the derivative are read off the
+next row.
 
 The generating function F(z, u) = sum_k Q_k(u) z^k satisfies
 
@@ -38,13 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import add, mul
+from operator import mul
 
 import mpmath as mp
 
 from .errors import NumericalInstability, OutOfRange
-from .polynomials import DEFAULT_DPS, UnivarPoly
+from .polynomials import DEFAULT_DPS, UnivarPoly, _merge_core
 
 
 def _workdps(dps):
@@ -65,41 +67,39 @@ def _to_mpf(x):
 # -- exact integer pipeline ---------------------------------------------------
 
 
-def _step(c: list) -> tuple[list, int, int]:
-    """One recursion step on a dense coefficient list (index = exponent).
-
-    Returns (next row, c(1), c'(1)) for a row with c_0 = c_1 = 0. With the
-    suffix sums s_i = sum_{d>=i} c_d and t_i = sum_{j>=i} s_j, the step
-
-        next = u^2 c(u) + sum_{i>=2} t_i u^i + s_i u^(i+1)
-             = t_2 u^2 + sum_{e>=3} (c_{e-2} + t_{e-1}) u^e
-
-    costs O(D) big-integer additions over a degree-D row, and the same sums
-    give c(1) = s_0 and c'(1) = t_1.
-    """
-    rs = list(accumulate(reversed(c)))  # s_D, ..., s_0
-    t = list(accumulate(rs))[::-1]  # t_0, ..., t_D
-    return [0, 0, t[2], *map(add, c[1:], t[2:]), c[-1]], rs[-1], t[1]
-
-
 def qk_step(q: UnivarPoly) -> UnivarPoly:
-    """One recursion step: convolve the coefficients of q with N(d, 3)."""
+    """One recursion step, Q_{k+1} = join_Q(Q_k, u^3): one ``_merge_core``
+    step, which convolves the coefficients of q with N(d, 3)."""
     if q.is_zero() or q.min_exp < 2:
         raise OutOfRange("step input needs minimum exponent >= 2")
-    return UnivarPoly.from_row(_step(q.row())[0])
+    return UnivarPoly.from_row(_merge_core(q.row(), [0, 0, 0, 1]))
 
 
 def _rows(kmax: int):
     """Yield (Q_k as a dense list, Q_k(1), Q_k'(1)) for k = 1 .. kmax.
 
-    Each row comes from the one before it through ``_step``, which also
-    gives that row's value and derivative at u = 1; only the last row sums
-    itself. The generator holds one row at a time.
+    Each row comes from the one before it through one ``_merge_core`` step
+    with u^3, and its value and derivative at u = 1 are read off the next
+    row. N(d, 3) = u^(d+2) + sum_{i=1}^{d-1} ((d-i) u^(i+1) + u^(i+2)), so
+    with the suffix sums s_i = sum_{d>=i} c_d and t_i = sum_{j>=i} s_j of a
+    row c (c_0 = c_1 = 0) the step is
+
+        next = u^2 c(u) + sum_{i>=2} t_i u^i + s_i u^(i+1)
+             = t_2 u^2 + sum_{e>=3} (c_{e-2} + t_{e-1}) u^e.
+
+    Hence [u^2] next = t_2 and [u^4] next = c_2 + t_3 = c_2 + t_2 - s_2, so
+
+        c(1)  = s_2 = c_2 + [u^2] next - [u^4] next,
+        c'(1) = t_1 = s_1 + t_2 = c(1) + [u^2] next.
+
+    The last row has no next row and sums itself. The generator holds one
+    row at a time.
     """
     row = [0, 0, 0, 1]
     for _ in range(kmax - 1):
-        nxt, total, deriv = _step(row)
-        yield row, total, deriv
+        nxt = _merge_core(row, [0, 0, 0, 1])
+        total = row[2] + nxt[2] - nxt[4]
+        yield row, total, total + nxt[2]
         row = nxt
     yield row, sum(row), sum(map(mul, range(len(row)), row))
 

@@ -20,6 +20,12 @@ transposes the rows. Whether a BivarPoly factors as (polynomial in u) *
 factor returns a BivarPoly that keeps the two factors of the result and
 builds its rows only when something reads them.
 
+A zero entry of the shorter operand adds nothing of its own: its row
+telescopes with the live row above it into one addition. So a merge with a
+sparse short operand costs little more than its prefix sums: with u^2 (a
+step of a convex chain) one prefix sum and no addition, with u^3 (a step of
+the double circle) two prefix sums and one addition.
+
 A Koch chain merges a polynomial with itself at every level, and every
 caller passes such a self-merge on as one object. The recurrence is then
 symmetric, so ``_merge_core`` builds only the rows' half on and above the
@@ -40,6 +46,8 @@ that factors, and ``chain_P`` evaluates it as one row recurrence: k - 1
 steps of ``_merge_core`` on the leaf's u-row and one power of its v-part,
 with no BivarPoly per link. A chain written out by hand takes ``join_P``
 link by link, the general path and a second route to the same factors.
+chi1's u-row is u^3, so the u-part of ``chik(k)`` is the double circle's
+Q_k, and ``doublecircle.QkTable`` steps the same chain on the same core.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 from math import comb, gcd
 from operator import add, ne
 
@@ -503,9 +511,18 @@ def _merge_core(a: list, b: list) -> list:
     products. Rows run with i2 descending, so the suffix sum is a prefix
     sum, and the result is built from its top exponent down: each row adds
     into what the rows above it wrote and appends its one new exponent,
-    never adding into a zero. A unit or zero entry of ``a`` multiplies
-    nothing. When ``a`` and ``b`` are one list, the merge is symmetric and
-    ``_merge_self`` builds half of G.
+    never adding into a zero. A unit entry of ``a`` multiplies nothing.
+
+    A zero entry of ``a`` adds nothing of its own: that row's x is the
+    prefix sum g of the x above it, and x at its place plus g one place on
+    is g at x's place plus g's last entry once more. So the x of a live
+    row waits until the next row is known, and a zero row below it
+    telescopes the two into one addition, or into a copy where the live
+    row is the first; a zero row below a zero row is added at its place.
+    Row 0 is always zero: a merge with u^2 (a step of a convex chain) costs
+    one prefix sum and no addition, and one with u^3 (``qk_step``) two
+    prefix sums and one addition. When ``a`` and ``b`` are one list, the
+    merge is symmetric and ``_merge_self`` builds half of G.
     """
     if a is b:
         return _merge_self(a)
@@ -516,24 +533,31 @@ def _merge_core(a: list, b: list) -> list:
     while top1 > 1 and not a[top1]:
         top1 -= 1
     b_rev = b[:1:-1]  # b[i2 + 1] for i2 = top2 - 1 down to 1
-    width = len(b_rev)
-    if top1 < 2 or not width:
+    if top1 < 2 or not b_rev:
         return [0] * size
     c1 = a[top1]
     x = b_rev if c1 == 1 else [c1 * c2 for c2 in b_rev]  # row top1 - 1
     # the result from its top exponent down: acc[q] is the coefficient of
-    # u^(top1 + top2 - 1 - q)
-    acc = x[:]
-    for c1 in a[top1 - 1:1:-1] + [0]:  # rows top1 - 2 down to 1, then 0
+    # u^(top1 + top2 - 1 - q), and the row at place n adds its x at acc[n:]
+    acc = []
+    # rows top1 - 2 down to 1, then 0, each with the entry of the row above
+    for n, (above, c1) in enumerate(pairwise(a[top1:1:-1] + [0]), 1):
         g = list(accumulate(x))  # G of the row above
+        if above or not c1:
+            # the x of a live row goes in at its place n - 1 once the next
+            # row is known, and a zero row below it telescopes into g there;
+            # a zero row below a zero row adds g at its own place
+            y, p = x if c1 else g, n - 1 if above else n
+            acc[p:] = map(add, acc[p:], y)
+            acc += y[-1:] if acc else y  # the first row fills acc
+            if above and not c1:
+                acc.append(g[-1])  # g's last entry once more
         x = (list(map(add, g, b_rev if c1 == 1 else map(c1.__mul__, b_rev)))
              if c1 else g)
-        lo = len(acc) - width + 1
-        acc[lo:] = map(add, acc[lo:], x)
-        acc.append(x[-1])
     acc += (0, 0)
     acc.reverse()
-    return acc + [0] * (size - len(acc))
+    acc += [0] * (size - len(acc))
+    return acc
 
 
 def _merge_self(a: list) -> list:

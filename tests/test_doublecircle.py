@@ -8,10 +8,11 @@ import pytest
 
 from chirotri import doublecircle
 from chirotri import (OutOfRange, QkTable, UnivarPoly, asymptotic_report,
-                      brute_Q, chi_k, chirotope_from_points, constants,
-                      count_triangulations, dc_count, double_circle_points,
-                      f_closed, f_series, df_series, join_Q, kernel, qk_step,
-                      small_roots)
+                      brute_P, brute_Q, chain_P, chi1, chi_k,
+                      chirotope_from_points, constants, count_triangulations,
+                      dc_count, double_circle_points, f_closed, f_series,
+                      df_series, join_Q, kernel, qk_step, small_roots,
+                      try_split)
 from chirotri.cli import run_cli
 
 from helpers import (functional_equation_residual, qk_step_closedform,
@@ -65,6 +66,24 @@ def test_table_against_independent_routes():
         if k in (1, 2, 201):
             assert table.q(k) == qk
         prev = qk
+        q = qk_step_closedform(q)
+
+
+def test_rows_read_their_values_off_the_next_row():
+    # every total and derivative but the last comes from two coefficients of
+    # the next row; the sums over the row itself are the other route
+    for row, total, deriv in doublecircle._rows(400):
+        assert total == sum(row)
+        assert deriv == sum(e * c for e, c in enumerate(row))
+
+
+def test_chain_p_u_row_is_the_closed_form_chain():
+    # chain_P and QkTable both step _merge_core, so chik(k)'s u-row is checked
+    # against the closed-form step, which shares no code with polynomials.py
+    chi1_p = brute_P(chi1())
+    q = U({3: 1})
+    for k in range(1, 121):
+        assert try_split(chain_P(chi1_p, k))[0] == q
         q = qk_step_closedform(q)
 
 

@@ -291,6 +291,52 @@ def test_join_Q_matches_n_poly_double_sum(q1, q2):
     assert join_Q(U(q1), U(q2)) == expected
 
 
+# live entries: units of either sign, small signed and big signed ones
+_live = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9).filter(bool),
+                  st.integers(-10 ** 30, 10 ** 30).filter(bool))
+
+
+@st.composite
+def _sparse_pair(draw):
+    """A shorter operand with a run of 1-4 zeros at its bottom (from degree
+    2), in its middle or at its top (right under its top live entry), maybe
+    zeros past that entry, and an operand at least as long, maybe equal to
+    it as another list."""
+    run = [0] * draw(st.integers(1, 4))
+    where = draw(st.sampled_from(["bottom", "middle", "top"]))
+    below = [] if where == "bottom" else draw(
+        st.lists(_live, min_size=1, max_size=3))
+    above = [] if where == "top" else draw(
+        st.lists(_live, min_size=int(where == "middle"), max_size=3))
+    a = [0, 0, *below, *run, *above, draw(_live),
+         *[0] * draw(st.integers(0, 2))]
+    b = draw(st.one_of(
+        st.just(list(a)),
+        st.lists(st.one_of(st.just(0), _live), min_size=len(a) - 2,
+                 max_size=len(a) + 3).map(lambda r: [0, 0, *r])))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_pair())
+@example(([0, 0, 0, 1], [0, 0, 0, 1]))  # the first double-circle step
+@example(([0, 0, 0, 1], [0, 0, 13, 13, 9, 5, 2, 1]))  # Q_3 to Q_4
+@example(([0, 0, 1], [0, 0, 1, 1, 1]))  # a convex chain's step
+@example(([0, 0, 0, 0, 0, 0, -1], [0, 0, 5, 0, 0, 0, 0, 7]))
+def test_merge_core_telescopes_zero_rows(pair):
+    # a zero row of the shorter operand folds into the row above it; the
+    # result is still the n_poly double sum, in either argument order
+    a, b = pair
+    expected = U({})
+    for d1, c1 in enumerate(a):
+        for d2, c2 in enumerate(b):
+            if c1 and c2:
+                expected = expected + n_poly(d1, d2) * (c1 * c2)
+    want = [expected.coeff(e) for e in range(len(a) + len(b) - 2)]
+    assert _merge_core(a, b) == want
+    assert _merge_core(b, a) == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(_bivar, _bivar)
 def test_join_and_meet_P_match_double_sum(p1, p2):
