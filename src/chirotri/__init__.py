@@ -13,12 +13,11 @@ from .chirotope import (AxiomReport, Chirotope, RootedChirotope,
                         write_chi)
 from .compose import (LabelMap, chi1, chi_k, convex, double_circle,
                       double_circle_points, join, koch, meet, triangle, twist)
-from .errors import (ChirotriError, ConstructionFailed, EmptyInput,
-                     ExprSyntaxError, GeneralPositionViolation,
-                     InternalInvariantViolation, InvalidTriple, MalformedFile,
-                     NotARootedChirotope, NumericalInstability, OracleTooLarge,
-                     OutOfRange, SharedEndpoint, TooLarge, TooSmall,
-                     WriteFailed)
+from .errors import (ChirotriError, EmptyInput, ExprSyntaxError,
+                     GeneralPositionViolation, InternalInvariantViolation,
+                     InvalidTriple, MalformedFile, NotARootedChirotope,
+                     NumericalInstability, OracleTooLarge, OutOfRange,
+                     SharedEndpoint, TooLarge, TooSmall, WriteFailed)
 from .expr import EvalMode, eval_expr, load_rooted, parse_expr, print_expr
 from .geometry import PointSet, convex_hull_labels, orient
 from .oracle import (DEFAULT_ORACLE_CAP, brute_P, brute_Q,

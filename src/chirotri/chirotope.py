@@ -264,6 +264,18 @@ def write_chi(chi: Chirotope, root=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header_int(line: str, key: str, what: str) -> int:
+    """The decimal digits after ``key`` in a ``.chi`` header line; no sign,
+    underscore or space, which ``int`` would accept."""
+    digits = line[len(key):]
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(digits)
+        except ValueError:  # more digits than Python's int-from-str limit
+            pass
+    raise MalformedFile(f"bad {what} {clip(line)}")
+
+
 def read_chi(text: str) -> tuple[Chirotope, int | None]:
     """Parse the ``.chi`` text format; returns (chirotope, root or None)."""
     lines = []
@@ -275,17 +287,11 @@ def read_chi(text: str) -> tuple[Chirotope, int | None]:
         raise MalformedFile("missing 'chirotope v1' header")
     if len(lines) < 2 or not lines[1].startswith("n "):
         raise MalformedFile("missing 'n <N>' line")
-    try:
-        n = int(lines[1][2:])
-    except ValueError as exc:
-        raise MalformedFile(f"bad element count {clip(lines[1])}") from exc
+    n = _header_int(lines[1], "n ", "element count")
     pos = 2
     root = None
     if pos < len(lines) and lines[pos].startswith("root "):
-        try:
-            root = int(lines[pos][5:])
-        except ValueError as exc:
-            raise MalformedFile(f"bad root {clip(lines[pos])}") from exc
+        root = _header_int(lines[pos], "root ", "root")
         pos += 1
     if pos >= len(lines) or lines[pos] != "triples":
         raise MalformedFile("missing 'triples' line")

@@ -74,10 +74,6 @@ class WriteFailed(ChirotriError):
     """An output file could not be written."""
 
 
-class ConstructionFailed(ChirotriError):
-    """A geometric construction could not be validated at any tolerance."""
-
-
 class NumericalInstability(ChirotriError):
     """A numeric evaluation hit a denominator below tolerance."""
 

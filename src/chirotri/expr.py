@@ -358,7 +358,9 @@ _CALLS = {"join": (2, None, Join), "meet": (2, None, Meet),
 # raises its own typed error. The route is (tree, links): the atom's
 # polynomial is that of a chain of ``links`` copies of ``tree``. koch has no
 # element count: the materializing table compares 2**i + 2 with the cap
-# from the level alone.
+# from the level alone. dc counts 2k elements on its domain 3..12, so
+# dc(k) above the cap is refused unbuilt. It has no route: polynomial
+# mode builds it and enumerates it with the oracle.
 _ATOMS = {
     "triangle": (0, 0, "triangle", None, None),
     "chi1": (0, 0, "chi1", None, None),
@@ -368,7 +370,8 @@ _ATOMS = {
              lambda k: (Atom("chi1"), k) if k >= 1 else None),
     "koch": (1, 1, "koch", None,
              lambda i: (_koch_tree(i), 1) if i >= 0 else None),
-    "dc": (1, 1, "double_circle", None, None),
+    "dc": (1, 1, "double_circle",
+           lambda k: 2 * k if 3 <= k <= 12 else None, None),
     "load": (1, 2, "load_rooted", None, None),
 }
 
@@ -400,13 +403,14 @@ def _materialize_ops(cap: int) -> dict:
             refuse(f"2^{i} + 2")  # exactly when 2**i + 2 > cap
         size = _ATOMS[e.name][3]
         fit(size and size(*e.args))
-        return capped(_build(e))
+        return capped(_build(e))  # a loaded file has no size until read
 
+    # a twist or a flip keeps the size of its operand, already capped
     return {Atom: atom,
             Join: lambda a, b: capped(compose.join(a, b)[0]),
             Meet: lambda a, b: capped(compose.meet(a, b)[0]),
-            Twist: lambda rc: capped(compose.twist(rc)),
-            Flip: lambda rc: capped(RootedChirotope(rc.chi.flipped(), rc.root))}
+            Twist: compose.twist,
+            Flip: lambda rc: RootedChirotope(rc.chi.flipped(), rc.root)}
 
 
 def _polynomial_ops(cap: int) -> dict:

@@ -77,7 +77,7 @@ class UnivarPoly:
     def __init__(self, coeffs: dict | None = None):
         coeffs = coeffs or {}
         for e in coeffs:
-            if not isinstance(e, int) or e < 0:
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise OutOfRange(f"bad exponent {e!r}")
         live = [e for e, c in coeffs.items() if c]
         self._lo = min(live, default=0)
@@ -436,11 +436,14 @@ def _read_exact(text) -> int:
 
 def _terms_from_json(text: str, arity: int) -> dict:
     """{exponent tuple: coefficient} from the text ``to_json`` writes, with
-    ``arity`` exponents per term; MalformedFile for any other text."""
+    ``arity`` exponents per term, each a JSON integer; MalformedFile for
+    any other text. A negative exponent reaches the constructor, which
+    refuses it with OutOfRange."""
     try:
         terms = json.loads(text)["terms"]
-        out = {tuple(map(int, t[:arity])): _read_exact(t[arity]) for t in terms
-               if type(t) is list and len(t) == arity + 1}
+        out = {tuple(t[:arity]): _read_exact(t[arity]) for t in terms
+               if type(t) is list and len(t) == arity + 1
+               and all(type(e) is int for e in t[:arity])}
         if len(out) < len(terms):
             raise ValueError("a term is malformed or repeats exponents")
     except (ValueError, KeyError, TypeError) as exc:

@@ -1,6 +1,7 @@
 """Core chirotope structure: orientation, axioms, extremes, crossing, formats."""
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -11,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirotri import (Chirotope, GeneralPositionViolation, InvalidTriple,
-                      NotARootedChirotope, PointSet, RootedChirotope,
-                      SharedEndpoint, TooSmall, brute_P, chirotope_from_points,
-                      convex, convex_hull_labels, count_triangulations,
-                      enumerate_weak, orient, read_chi, segments_cross, twist,
-                      write_chi)
+                      MalformedFile, NotARootedChirotope, PointSet,
+                      RootedChirotope, SharedEndpoint, TooSmall, brute_P,
+                      chirotope_from_points, convex, convex_hull_labels,
+                      count_triangulations, enumerate_weak, orient, read_chi,
+                      segments_cross, twist, write_chi)
 from chirotri.chirotope import sorted_triples
 
 from helpers import (axiom_violations_spec, chi1_fixture_points,
@@ -326,6 +327,26 @@ def test_chi_format_roundtrip(chi, root):
     commented = text.replace("triples", "triples  # signs follow")
     assert read_chi(commented)[0] == chi
     assert read_chi(text.replace("-", "−"))[0] == chi
+
+
+@pytest.mark.parametrize("header, message", [
+    ("n +4\nroot 0_0", "bad element count 'n +4'"),
+    ("n 4\nroot 0_0", "bad root 'root 0_0'"),
+    ("n 0_3", "bad element count 'n 0_3'"),
+    ("n -4", "bad element count 'n -4'"),
+    ("n  4", "bad element count 'n  4'"),
+    ("n \u0664", "bad element count 'n \u0664'"),
+    ("n 4\nroot -1", "bad root 'root -1'"),
+    ("n 4\nroot +0", "bad root 'root +0'"),
+    ("root 0\nn 4", "missing 'n <N>' line"),
+    ("n4", "missing 'n <N>' line")])
+def test_read_chi_header_numbers_are_decimal_digits(header, message):
+    # int() would read a sign, an underscore or a leading space, so that
+    # 'n +4' and 'root 0_0' read as a rooted 4-gon
+    assert read_chi("chirotope v1\nn 4\nroot 0\ntriples\n++++\n") == (
+        convex(4).chi, 0)
+    with pytest.raises(MalformedFile, match=re.escape(message)):
+        read_chi(f"chirotope v1\n{header}\ntriples\n++++\n")
 
 
 _coord = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,

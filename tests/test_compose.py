@@ -8,12 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chirotri import (GeneralPositionViolation, OutOfRange, PointSet,
-                      RootedChirotope, TooLarge, TooSmall, UnivarPoly,
-                      brute_P, brute_Q, chi1, chi_k, chirotope_from_points,
-                      convex, count_triangulations, double_circle,
-                      double_circle_points, join, koch, meet, swap_vars,
-                      twist, write_chi)
+from chirotri import (Chirotope, GeneralPositionViolation, OutOfRange,
+                      PointSet, RootedChirotope, TooLarge, TooSmall,
+                      UnivarPoly, brute_P, brute_Q, chi1, chi_k,
+                      chirotope_from_points, convex, count_triangulations,
+                      double_circle, double_circle_points, join, koch, meet,
+                      swap_vars, twist, write_chi)
+from chirotri import compose
+from chirotri.geometry import det
 
 from helpers import catalan, random_rooted
 
@@ -91,11 +93,11 @@ def test_join_well_defined_at_x0():
 
 
 def test_join_too_small():
+    # a merge checks no operand size: no chirotope has fewer than 3
+    # elements, and the smallest join, of two triangles, is a 4-gon
     with pytest.raises(TooSmall):
-        join(tri_rooted_2(), tri_rooted_2())  # fine
-        raise TooSmall  # pragma: no cover
-    # actual too-small operand cannot even be built as a chirotope; the guard
-    # is reachable through koch/chik arguments instead
+        Chirotope(2, [])
+    assert join(tri_rooted_2(), tri_rooted_2())[0].chi.n == 4
     with pytest.raises(OutOfRange):
         chi_k(0)
 
@@ -238,21 +240,44 @@ def test_koch3_restriction_has_424_triangulations():
 
 
 def test_double_circle_points():
-    # one construction, validated, for the whole domain 3..12
+    # the construction is checked here, over its whole domain 3..12, and
+    # not when it is built: the points are in general position (building
+    # the chirotope raises otherwise), the outer labels are the extreme set,
+    # and with every inner point moved back onto its edge midpoint each
+    # orientation that is nonzero there keeps its sign. A pull-in factor of
+    # 2^-6 instead of 2^-20 passes k <= 9 and breaks that sign at k >= 10
     for k in range(3, 13):
         ps = double_circle_points(k)
         assert len(ps) == 2 * k
         chi = chirotope_from_points(ps)
         assert chi.extreme_elements() == frozenset(range(k))
+        outer = [ps[j] for j in range(k)]
+        limit = outer + [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+                         for p, q in zip(outer, outer[1:] + outer[:1])]
+        for (a, b, c), s in chi.items():
+            d = det(limit[a], limit[b], limit[c])
+            assert d == 0 or (d > 0) == (s > 0), (k, a, b, c)
         if k <= 5:
             assert count_triangulations(chi) == {3: 4, 4: 30, 5: 250}[k]
-    with pytest.raises(OutOfRange):
-        double_circle_points(2)
+    for k in (2, 13):
+        with pytest.raises(OutOfRange):
+            double_circle_points(k)
 
 
-def test_double_circle_rooted():
-    rc = double_circle(4)
-    assert rc.root == 0 and rc.chi.n == 8
+def test_double_circle_rooted(monkeypatch):
+    # one chirotope is built per call
+    calls = []
+
+    def counted(ps):
+        calls.append(len(ps))
+        return chirotope_from_points(ps)
+
+    monkeypatch.setattr(compose, "chirotope_from_points", counted)
+    for k in (3, 4, 12):
+        calls.clear()
+        rc = double_circle(k)
+        assert rc.root == 0 and rc.chi.n == 2 * k
+        assert calls == [2 * k]
 
 
 def test_join_of_convex_is_convex():

@@ -102,6 +102,18 @@ def test_arity_errors_point_at_the_name(call):
         parse_expr("triangle v\n  " + call)
     assert (info.value.line, info.value.col) == (2, 3)
 
+
+@pytest.mark.parametrize("call, message", [
+    ("load(3)", "load needs a quoted path"),
+    ('load("a.chi", "b")', "load root must be an integer"),
+    ('convex("a")', "convex takes integer arguments")])
+def test_argument_type_errors_point_at_the_name(call, message):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr("triangle v\n  " + call)
+    assert str(info.value) == f"{message} (line 2, column 3)"
+    assert (info.value.line, info.value.col) == (2, 3)
+
+
 _atoms = st.one_of(
     st.sampled_from([Atom("triangle"), Atom("chi1")]),
     st.builds(lambda name, a: Atom(name, (a,)),
@@ -189,11 +201,19 @@ def test_materialize_checks_generator_size_before_building(monkeypatch):
     monkeypatch.setattr(compose, "convex", never)
     monkeypatch.setattr(compose, "chi_k", never)
     monkeypatch.setattr(compose, "koch", never)
+    monkeypatch.setattr(compose, "double_circle_points", never)
     # koch(i)'s size is written as 2^i + 2 and never built
     for src, n in (("convex(100000)", 100000), ("chik(100000)", 200002),
-                   ("koch(100)", r"2\^100 \+ 2")):
+                   ("koch(100)", r"2\^100 \+ 2"), ("dc(12)", 24)):
         with pytest.raises(TooLarge, match=f"has {n} elements"):
             eval_expr(parse_expr(src), EvalMode.MATERIALIZE)
+    # refused unbuilt, dc(7) reads as a built result of 14 elements does
+    with pytest.raises(TooLarge) as info:
+        eval_expr(parse_expr("dc(7)"), EvalMode.MATERIALIZE)
+    assert str(info.value) == ("materialized result has 14 elements, above "
+                               "the oracle cap 12; use the polynomial mode")
+    with pytest.raises(AssertionError, match="generator built"):
+        eval_expr(parse_expr("dc(6)"), EvalMode.MATERIALIZE)
     # koch(3) has 10 elements: refused under a cap of 9, built under 10
     for src, cap in (("koch(3)", 9), ("koch(0)", 2), ("koch(0)", -1)):
         with pytest.raises(TooLarge, match=r"has 2\^\d \+ 2 elements"):
@@ -245,7 +265,9 @@ def test_generator_chains_call_no_join_p(monkeypatch):
 
 def test_generator_arguments_out_of_domain_keep_their_errors():
     for src, error, message in (("chik(0)", OutOfRange, "need k >= 1, got 0"),
-                                ("convex(2)", TooSmall, "needs n >= 3, got 2")):
+                                ("convex(2)", TooSmall, "needs n >= 3, got 2"),
+                                ("dc(2)", OutOfRange, "got 2"),
+                                ("dc(13)", OutOfRange, "got 13")):
         for mode in EvalMode:
             with pytest.raises(error, match=message):
                 eval_expr(parse_expr(src), mode)

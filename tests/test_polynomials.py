@@ -469,11 +469,19 @@ _MALFORMED_JSON = ["garbage", "{}", "[1]", '{"terms": 5}', '{"terms": [[1]]}',
                    '{"terms": [[1, "--5"]]}', '{"terms": [[1, 5]]}']
 
 
+# an exponent is a JSON integer: not a float, a boolean or a string
+_NOT_INTEGER_JSON = {
+    U: ['{"terms":[[1.5,"2"]]}', '{"terms":[[true,"2"]]}',
+        '{"terms":[["3","2"]]}', '{"terms":[[2.0,"2"]]}'],
+    B: ['{"terms":[[2.7,3,"2"]]}', '{"terms":[[2,true,"2"]]}',
+        '{"terms":[["2",3,"2"]]}', '{"terms":[[2,3.0,"2"]]}']}
+
+
 @pytest.mark.parametrize("cls, repeated, negative", [
     (U, '{"terms":[[2,"1"],[2,"5"]]}', '{"terms":[[-1,"1"]]}'),
     (B, '{"terms":[[2,3,"1"],[2,3,"5"]]}', '{"terms":[[2,-1,"1"]]}')])
 def test_from_json_refuses_malformed_text(cls, repeated, negative):
-    for text in _MALFORMED_JSON + [repeated]:
+    for text in _MALFORMED_JSON + [repeated] + _NOT_INTEGER_JSON[cls]:
         with pytest.raises(MalformedFile, match="malformed polynomial text"):
             cls.from_json(text)
     with pytest.raises(OutOfRange):
@@ -571,6 +579,12 @@ def test_bivar_poly_matches_dict_spec(d1, d2, x, y):
             factored = B._from_factors(*split)
             _check_bivar_against_spec(factored, want, x, y)
             _check_bivar_against_spec(swap_vars(factored), want.swap(), x, y)
+
+
+@pytest.mark.parametrize("key", [1.5, True, False, "3", -1, None])
+def test_univar_poly_refuses_bad_exponents(key):
+    with pytest.raises(OutOfRange, match="bad exponent"):
+        U({key: 5})
 
 
 @pytest.mark.parametrize("key", [(1.5, 2), (True, 2), (2, False), ("a", 2),
